@@ -29,6 +29,9 @@ type t = {
       (* most recent golden-state checkpoint, keyed by event index *)
   mutable inject_work : int;
       (* dynamic instructions executed by injections and checkpoint builds *)
+  buf : Moard_vm.Memory.t;
+      (* the memory every injected run of this shard executes in; a run's
+         contents are read only by [classify], before the next run *)
 }
 
 let observe_mem machine (w : Workload.t) mem =
@@ -111,8 +114,10 @@ let make (w : Workload.t) =
     hits = 0;
     ckpt = None;
     inject_work = 0;
+    buf = Moard_vm.Memory.copy (Machine.image machine);
   }
 
+(* Shards run on different domains, so each owns its run buffer. *)
 let shard t =
   {
     t with
@@ -121,6 +126,7 @@ let shard t =
     hits = 0;
     ckpt = None;
     inject_work = 0;
+    buf = Moard_vm.Memory.copy (Machine.image t.machine);
   }
 
 let workload t = t.w
@@ -226,8 +232,8 @@ let inject ?(resume = false) t fault =
       let cp = checkpoint_for t at in
       let base = Machine.checkpoint_at cp in
       let r =
-        Machine.run ~step_limit:t.w.step_limit ~fault ~from:cp t.machine
-          ~entry:t.w.entry
+        Machine.run ~step_limit:t.w.step_limit ~fault ~from:cp ~into:t.buf
+          t.machine ~entry:t.w.entry
       in
       t.inject_work <- t.inject_work + (r.Machine.steps - base);
       r
@@ -235,7 +241,7 @@ let inject ?(resume = false) t fault =
     else begin
       let r =
         Machine.run ~step_limit:t.w.step_limit ~fault ~harts:t.w.harts
-          t.machine ~entry:t.w.entry
+          ~into:t.buf t.machine ~entry:t.w.entry
       in
       t.inject_work <- t.inject_work + r.Machine.steps;
       r

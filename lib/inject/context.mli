@@ -22,9 +22,10 @@ val make : Workload.t -> t
 val shard : t -> t
 (** A worker's view of the same analysis: shares the machine, the frozen
     golden tape and the golden outputs — all read-only — but owns a fresh
-    error-equivalence cache and run counters, so shards can be used from
-    different domains without synchronization and without re-executing the
-    golden run. *)
+    error-equivalence cache, run counters and the memory buffer its
+    injected runs execute in, so shards can be used from different domains
+    without synchronization and without re-executing the golden run. One
+    context (or shard) must not inject from two domains at once. *)
 
 val golden_executions : unit -> int
 (** Process-wide count of golden (traced) workload executions performed by
@@ -66,7 +67,9 @@ val inject : ?resume:bool -> t -> Moard_vm.Fault.t -> Outcome.t
     pristine image — exact, because execution before the fault is
     byte-identical to the golden run — and only pays for the suffix. The
     context caches the most recent checkpoint, so sweeping many patterns
-    of one site amortizes a single prefix execution. *)
+    of one site amortizes a single prefix execution. Every run executes
+    in the context's own memory buffer, reset from its start image, so
+    injecting allocates no memory image per run. *)
 
 val inject_at :
   ?use_cache:bool -> ?resume:bool -> t -> Moard_trace.Consume.t ->

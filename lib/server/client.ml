@@ -24,10 +24,16 @@ let with_proto = function
     Jsonx.Obj (("proto", Jsonx.Int Protocol.version) :: fields)
   | req -> req
 
+(* Every response header carries a status. A frame without one is a
+   payload read in place of a header frame lost on the wire: a transport
+   failure, never an answer. *)
 let request t req =
   Protocol.send t.fd (with_proto req);
   match Protocol.recv t.fd with
-  | Some resp -> resp
+  | Some ((header, _) as resp) ->
+    if Jsonx.str (Jsonx.member "status" header) = None then
+      raise (Protocol.Protocol_error "response header without a status");
+    resp
   | None ->
     raise (Protocol.Protocol_error "daemon closed the connection mid-request")
 

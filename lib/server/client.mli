@@ -20,7 +20,9 @@ val close : t -> unit
 val request : t -> Jsonx.t -> Jsonx.t * string option
 (** Send one request object, wait for its response. Adds ["proto"] if
     the request lacks it.
-    @raise Protocol.Protocol_error on framing violations;
+    @raise Protocol.Protocol_error on framing violations, including a
+    response header without a ["status"] (what a lost header frame
+    leaves: the payload frame read as the header);
     @raise Unix.Unix_error if the connection drops. *)
 
 val rpc : ?timeout_s:float -> socket:string -> Jsonx.t -> Jsonx.t * string option

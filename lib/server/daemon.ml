@@ -818,7 +818,14 @@ let stop t =
     Pool.drain t.pool;
     (try Unix.close t.listen with Unix.Unix_error _ -> ());
     if Sys.file_exists t.cfg.socket then (
-      try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ())
+      try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ());
+    (* Everything the daemon held (golden contexts and their tapes, the
+       store's LRU, the pool) became garbage at once. Collect it now, so
+       a process that runs daemons one after another (a local cluster,
+       the test suite, the perf harness's served-mixed rounds) does not
+       stack each stopped daemon's heap on the next one's until the
+       major GC catches up. *)
+    Gc.full_major ()
   end
 
 let run cfg =

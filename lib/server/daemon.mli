@@ -86,8 +86,9 @@ val start : config -> t
 
 val stop : t -> unit
 (** Graceful drain: stop accepting, let in-flight requests finish, drain
-    the pool, close and unlink the socket. Blocks until done.
-    Idempotent. *)
+    the pool, close and unlink the socket, then run a full major GC so
+    the daemon's state is reclaimed before the caller starts another.
+    Blocks until done. Idempotent. *)
 
 val stopping : t -> bool
 

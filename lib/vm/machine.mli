@@ -20,7 +20,10 @@ type run = {
 }
 
 val load : ?mem_bytes:int -> Moard_ir.Program.t -> t
-(** Validates the program and assigns every global an address.
+(** Validates the program, assigns every global an address and decodes
+    every function once for execution: operands become register indices
+    or constant images (a global's operand its address), calls name their
+    resolved target, and each instruction gets its static identity.
     Default memory size fits all globals plus 64 KiB of slack.
     @raise Invalid_argument if validation fails. *)
 
@@ -74,6 +77,7 @@ val run :
   ?args:Moard_bits.Bitval.t list ->
   ?harts:int ->
   ?from:checkpoint ->
+  ?into:Memory.t ->
   t -> entry:string -> run
 (** Execute [entry]. [step_limit] defaults to 20 million. [sink] defaults
     to {!Trace_sink.Null}: untraced executions (fault injections, golden
@@ -93,7 +97,15 @@ val run :
     pristine image ([entry], [args] and [harts] are then ignored — the
     checkpoint carries the hart configuration — and [run.steps] stays the
     absolute dynamic event count, prefix included); a [fault] whose event
-    index predates the checkpoint can never fire. *)
+    index predates the checkpoint can never fire.
+
+    With [into], the run executes in that buffer instead of a fresh copy
+    of its start image (the pristine image, or the checkpoint's memory):
+    the start image is copied over the buffer, and [run.mem] is the buffer
+    itself, valid only until its next use. A caller that runs many times
+    reuses one buffer rather than allocating a whole memory per run.
+    @raise Invalid_argument if the buffer's size differs from the
+    image's. *)
 
 val trace :
   ?step_limit:int -> ?args:Moard_bits.Bitval.t list -> ?harts:int ->

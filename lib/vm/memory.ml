@@ -12,6 +12,11 @@ let size t = Bytes.length t.data
 
 let copy t = { data = Bytes.copy t.data }
 
+let blit ~src ~dst =
+  if Bytes.length src.data <> Bytes.length dst.data then
+    invalid_arg "Memory.blit: size mismatch";
+  Bytes.blit src.data 0 dst.data 0 (Bytes.length src.data)
+
 let in_range t addr size =
   addr >= null_guard && addr + size <= Bytes.length t.data
 

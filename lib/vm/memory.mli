@@ -17,6 +17,11 @@ val size : t -> int
 val copy : t -> t
 (** Snapshot, used to reset between runs of the same workload. *)
 
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst] with the contents of [src], without allocating: resets
+    a reused run buffer to a start image.
+    @raise Invalid_argument if the sizes differ. *)
+
 val load : t -> Moard_ir.Types.t -> int -> (Moard_bits.Bitval.t, Trap.t) result
 val store : t -> Moard_ir.Types.t -> int -> Moard_bits.Bitval.t -> (unit, Trap.t) result
 

@@ -1,6 +1,3 @@
 type t =
   | Null
   | Tape of Moard_trace.Tape.t
-  | Fn of (Moard_trace.Event.t -> unit)
-
-let is_null = function Null -> true | Tape _ | Fn _ -> false

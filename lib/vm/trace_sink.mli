@@ -1,19 +1,14 @@
 (** Where the interpreter sends the dynamic trace.
 
-    The machine emits one trace record per executed instruction. A sink
-    decides what happens to it:
-
-    - [Null]: nothing — the zero-cost mode for executions that only need
-      final outputs (every fault-injection run, golden re-executions);
-    - [Tape]: packed directly into a {!Moard_trace.Tape.t} through
-      {!Moard_trace.Tape.emit}, without materializing a boxed
-      {!Moard_trace.Event.t} per instruction — the golden-run fast path;
-    - [Fn]: a decoded {!Moard_trace.Event.t} per instruction, for ad-hoc
-      observers (tests, debugging dumps). *)
+    - [Null]: nothing is recorded. An untraced step builds no event, no
+      operand arrays and no closures; it allocates only the value its
+      instruction produces (plus a frame per call and the corrupted image
+      at the fault). Every fault-injection run, checkpoint build and golden
+      re-execution is untraced.
+    - [Tape]: one event per executed instruction, packed directly into a
+      {!Moard_trace.Tape.t} through {!Moard_trace.Tape.emit}, without
+      materializing a boxed {!Moard_trace.Event.t}: the golden run. *)
 
 type t =
   | Null
   | Tape of Moard_trace.Tape.t
-  | Fn of (Moard_trace.Event.t -> unit)
-
-val is_null : t -> bool

@@ -186,10 +186,71 @@ let accept_tests =
         assert (not (acc ~golden:[| 1.0 |] ~faulty:[| 1.0; 2.0 |])));
   ]
 
+(* Resumed injection must be invisible in the outcome: on every serial
+   registry workload, a seeded sample of (site, bit) faults classifies the
+   same resumed from a golden checkpoint as run from the pristine image.
+   And since a context runs every injection in one reused memory buffer,
+   back-to-back resumed runs on one context must match the same runs on
+   fresh shards: no run may see what the previous one left behind. *)
+let samples_per_workload = 32
+
+let sample_faults ctx =
+  let rng = Random.State.make [| 2019 |] in
+  let sites =
+    Array.of_list
+      (List.concat_map
+         (fun obj ->
+           Moard_trace.Consume.of_tape ~segment:(Context.segment ctx)
+             (Context.tape ctx) (Context.object_of ctx obj))
+         (Context.workload ctx).Workload.targets)
+  in
+  List.init samples_per_workload (fun _ ->
+      let site = sites.(Random.State.int rng (Array.length sites)) in
+      let bit =
+        Random.State.int rng
+          (Moard_bits.Bitval.bits_in site.Moard_trace.Consume.width)
+      in
+      Context.fault_of_site site (Pattern.Single bit))
+
+let check_outcomes what expected actual =
+  List.iteri
+    (fun i (e, a) ->
+      if not (Outcome.equal e a) then
+        Alcotest.failf "%s, fault %d: %s <> %s" what i (Outcome.to_string e)
+          (Outcome.to_string a))
+    (List.combine expected actual)
+
+let resume_tests =
+  [
+    Alcotest.test_case "serial registry: resumed = fresh, reused = new buffer"
+      `Quick (fun () ->
+        List.iter
+          (fun (e : Moard_kernels.Registry.entry) ->
+            let name = e.Moard_kernels.Registry.benchmark in
+            let ctx = Context.make (e.Moard_kernels.Registry.workload ()) in
+            let faults = sample_faults ctx in
+            let fresh = List.map (Context.inject ~resume:false ctx) faults in
+            let resumed = List.map (Context.inject ~resume:true ctx) faults in
+            check_outcomes (name ^ " resumed vs fresh") fresh resumed;
+            let one = Context.shard ctx in
+            let back_to_back =
+              List.map (Context.inject ~resume:true one) faults
+            in
+            let on_new_shards =
+              List.map
+                (fun f -> Context.inject ~resume:true (Context.shard ctx) f)
+                faults
+            in
+            check_outcomes (name ^ " one context vs new shards") on_new_shards
+              back_to_back)
+          Moard_kernels.Registry.all);
+  ]
+
 let suite =
   [
     ("inject.classify", classify_tests);
     ("inject.cache", cache_tests);
     ("inject.campaigns", campaign_tests);
     ("inject.accept", accept_tests);
+    ("inject.resume", resume_tests);
   ]

@@ -120,6 +120,34 @@ let protocol_tests =
             match Protocol.recv b with
             | exception Protocol.Protocol_error _ -> ()
             | _ -> Alcotest.fail "torn frame accepted"));
+    Alcotest.test_case "a lost header frame is a transport failure" `Quick
+      (fun () ->
+        (* The server's header frame never arrives; its payload frame, a
+           JSON object itself, is the first frame the client reads. *)
+        let socket = Filename.temp_file "moardd_test" ".sock" in
+        Sys.remove socket;
+        let l = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind l (Unix.ADDR_UNIX socket);
+        Unix.listen l 1;
+        let server =
+          Thread.create
+            (fun () ->
+              let fd, _ = Unix.accept l in
+              ignore (Protocol.recv fd);
+              Protocol.send fd (Jsonx.Obj [ ("schema", Jsonx.Str "report") ]);
+              Unix.close fd)
+            ()
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Thread.join server;
+            Unix.close l;
+            Sys.remove socket)
+          (fun () ->
+            match Client.rpc ~socket (Jsonx.Obj [ ("op", Jsonx.Str "report") ])
+            with
+            | exception Protocol.Protocol_error _ -> ()
+            | _ -> Alcotest.fail "a status-less frame was taken as a response"));
   ]
 
 (* ---------------------------------------------------------------- *)

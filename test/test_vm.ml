@@ -237,10 +237,70 @@ let trace_consistency =
                 = base + 8));
   ]
 
+(* An untraced step allocates only the value its instruction produces.
+   A golden re-execution repeats its minor-heap allocation exactly, so a
+   words-per-step bound pins the step loop without timing anything. MM
+   and CG allocate 6-7 words per step. *)
+let max_words_per_step = 16.0
+
+let alloc_tests =
+  List.map
+    (fun bench ->
+      Alcotest.test_case
+        (Printf.sprintf "untraced %s steps allocate at most %.0f words" bench
+           max_words_per_step)
+        `Quick (fun () ->
+          let w =
+            (Moard_kernels.Registry.find bench).Moard_kernels.Registry.workload
+              ()
+          in
+          let m = Machine.load w.Moard_inject.Workload.program in
+          let run () =
+            Machine.run ~step_limit:w.Moard_inject.Workload.step_limit
+              ~harts:w.Moard_inject.Workload.harts m
+              ~entry:w.Moard_inject.Workload.entry
+          in
+          ignore (run ());
+          let before = Gc.minor_words () in
+          let r = run () in
+          let per_step =
+            (Gc.minor_words () -. before) /. float_of_int r.Machine.steps
+          in
+          if per_step > max_words_per_step then
+            Alcotest.failf "%s: %.1f minor words per step" bench per_step))
+    [ "MM"; "CG" ]
+
+(* What the interpreter records, pinned: the golden step count and a
+   digest of every decoded tape event of every registry workload (serial,
+   and the SPMD ports at 2 harts), generated by golden_tape_gen.exe. *)
+let tape_pin_tests =
+  [
+    Alcotest.test_case "golden tapes of the registry match the snapshot"
+      `Quick (fun () ->
+        let path =
+          List.find Sys.file_exists
+            [ "golden_tape.expected"; "test/golden_tape.expected" ]
+        in
+        let ic = open_in path in
+        let text =
+          Fun.protect
+            ~finally:(fun () -> close_in ic)
+            (fun () -> really_input_string ic (in_channel_length ic))
+        in
+        let expected =
+          List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+        in
+        Alcotest.(check (list string))
+          "name, golden steps, tape length, event digest" expected
+          (List.map Tape_digest.line (Tape_digest.workloads ())));
+  ]
+
 let suite =
   [
     ("vm.memory", memory_tests);
     ("vm.machine", machine_tests);
     ("vm.faults", fault_tests);
     ("vm.trace", trace_consistency);
+    ("vm.alloc", alloc_tests);
+    ("vm.tape_pin", tape_pin_tests);
   ]
