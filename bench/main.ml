@@ -1236,14 +1236,16 @@ let chaos_bench () =
      quarantines — to keep every surviving response byte-identical.
      rate 0 is the control: the shims are in place but silent, so its
      wall clock is the harness overhead floor *)
-  let module Harness = Moard_server.Chaos_harness in
+  let module Harness = Moard_cluster.Harness in
   let rates = if !quick then [ 0.08 ] else [ 0.0; 0.08; 0.25 ] in
   let rounds = if !quick then 1 else 2 in
   let runs =
     List.map
       (fun rate ->
         let t = Unix.gettimeofday () in
-        let r = Harness.run ~seed:7 ~rounds ~rate () in
+        let r =
+          Harness.run ~seed:7 ~rounds ~rate ~ci_width:0.05 (Harness.daemon ())
+        in
         let s = Unix.gettimeofday () -. t in
         let injected =
           List.fold_left (fun a (_, _, i) -> a + i) 0 r.Harness.fault_stats
@@ -1273,7 +1275,8 @@ let chaos_bench () =
           \      \"faults_injected\": %d, \"quarantined\": %d,\n\
           \      \"schedule_hash\": %S, \"survived\": %b }%s\n"
           rate s r.Harness.requests r.Harness.identical
-          r.Harness.transport_failures injected r.Harness.store_quarantined
+          r.Harness.transport_failures injected
+          (List.assoc "store_quarantined" r.Harness.health)
           r.Harness.schedule_hash r.Harness.survived
           (if i = List.length runs - 1 then "" else ","))
       runs;

@@ -1412,12 +1412,13 @@ let store_cmd =
 (* ---- the chaos harness ---- *)
 
 let chaos_cmd =
-  let module Harness = Moard_server.Chaos_harness in
+  let module Harness = Moard_cluster.Harness in
   let run () seed rounds rate classes benchmark ci_width store_dir =
     let r =
-      Harness.run ~seed ~rounds ~rate
-        ?classes:(match classes with [] -> None | l -> Some l)
-        ~benchmark ~ci_width ?store_dir ()
+      Harness.run ~seed ~rounds ~rate ~benchmark ~ci_width
+        (Harness.daemon
+           ?classes:(match classes with [] -> None | l -> Some l)
+           ?store_dir ())
     in
     print_endline (Jsonx.to_string (Harness.to_json r));
     if not r.Harness.survived then begin
@@ -1527,13 +1528,7 @@ let cluster_serve_cmd =
             Moard_server.Version.version
             (Cluster_local.socket c)
             shards root replication);
-      let stop_flag = Atomic.make false in
-      let quit _ = Atomic.set stop_flag true in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle quit);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle quit);
-      while not (Atomic.get stop_flag) do
-        Thread.delay 0.2
-      done;
+      Moard_server.Serving.await_signal (Atomic.make false);
       Cluster_local.stop c;
       Logs.app (fun m -> m "cluster drained and stopped")
   in
@@ -1669,11 +1664,11 @@ let cluster_warm_cmd =
     Term.(const run $ setup_logs $ cluster_socket_arg $ bench_arg $ objects_arg)
 
 let cluster_chaos_cmd =
-  let module Harness = Moard_cluster.Cluster_harness in
+  let module Harness = Moard_cluster.Harness in
   let run () seed rounds rate shards benchmark ci_width downtime =
     let r =
-      Harness.run ~seed ~rounds ~rate ~shards ~benchmark ~ci_width
-        ~crash_downtime:downtime ()
+      Harness.run ~seed ~rounds ~rate ~benchmark ~ci_width
+        (Harness.cluster ~shards ~crash_downtime:downtime ())
     in
     print_endline (Jsonx.to_string (Harness.to_json r));
     if not r.Harness.survived then begin

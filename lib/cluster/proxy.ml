@@ -1,4 +1,3 @@
-module Chaos = Moard_chaos.Chaos
 module Sock = Moard_chaos.Sock
 module Rng = Moard_chaos.Rng
 module Monotime = Moard_chaos.Monotime
@@ -7,6 +6,7 @@ module Protocol = Moard_server.Protocol
 module Client = Moard_server.Client
 module Jsonx = Moard_server.Jsonx
 module Version = Moard_server.Version
+module Serving = Moard_server.Serving
 
 type shard = { name : string; socket : string }
 
@@ -45,53 +45,28 @@ let default_config ~shards =
     partitioned = (fun _ -> false);
   }
 
-(* Single-flight entry, same shape as the daemon's: leader forwards,
-   followers share the response. *)
-type flight = {
-  fm : Mutex.t;
-  fc : Condition.t;
-  mutable fresult : (Jsonx.t * string option) option;
-}
-
-type t = {
+type state = {
   cfg : config;
   ring : Ring.t;
-  listen : Unix.file_descr;
-  stop_flag : bool Atomic.t;
-  m : Mutex.t;
-  conns_done : Condition.t;
-  flights : (string, flight) Hashtbl.t;
-  rng : Rng.t;  (* retry backoff jitter; guarded by [m] *)
+  m : Mutex.t;  (* guards [rng], the latency ring and the counters *)
+  rng : Rng.t;  (* retry backoff jitter *)
   lat : float array;  (* recent forward latencies, ring buffer *)
   mutable lat_n : int;
-  mutable inflight : int;  (* client forwards in progress *)
-  mutable conns : int;
-  mutable served : int;
-  mutable errors : int;
+  inflight : int Atomic.t;  (* client forwards in progress *)
   mutable forwarded : int;
-  mutable coalesced : int;
   mutable hedged : int;
   mutable hedge_wins : int;
   mutable failovers : int;
   mutable retries : int;
   mutable integrity_failures : int;
-  warm_q : Jsonx.t Queue.t;
-  warm_seen : (string, unit) Hashtbl.t;
-  mutable warmed : int;
-  mutable warm_errors : int;
-  mutable accept_thread : Thread.t option;
-  mutable warm_thread : Thread.t option;
-  mutable stopped : bool;
-  started_at : float;
 }
 
-let stopping t = Atomic.get t.stop_flag
-let ring t = t.ring
+type t = state Serving.t
 
-let bump t f =
-  Mutex.lock t.m;
-  f t;
-  Mutex.unlock t.m
+let bump p f =
+  Mutex.lock p.m;
+  f p;
+  Mutex.unlock p.m
 
 (* ---------------- routing ---------------- *)
 
@@ -109,13 +84,13 @@ let routing_key req =
   | "advise" -> Printf.sprintf "advise|%s" (s "benchmark")
   | "campaign" | "report" ->
     "campaign|" ^ Jsonx.signature ~drop:[ "proto"; "req_fnv"; "op" ] req
-  | _ -> Jsonx.signature ~drop:[ "proto"; "req_fnv" ] req
+  | _ -> Serving.signature req
 
-let shard_named t name = List.find (fun s -> s.name = name) t.cfg.shards
+let shard_named p name = List.find (fun s -> s.name = name) p.cfg.shards
 
-let owners_of t req =
-  List.map (shard_named t)
-    (Ring.owners t.ring ~n:t.cfg.replication (routing_key req))
+let owners_of p req =
+  List.map (shard_named p)
+    (Ring.owners p.ring ~n:p.cfg.replication (routing_key req))
 
 (* ---------------- one forward, with retry ---------------- *)
 
@@ -126,7 +101,7 @@ let owners_of t req =
 let seal req =
   match req with
   | Jsonx.Obj fields ->
-    let fnv = Protocol.fnv_hex (Jsonx.signature ~drop:[ "proto"; "req_fnv" ] req) in
+    let fnv = Protocol.fnv_hex (Serving.signature req) in
     let core =
       List.filter (fun (k, _) -> k <> "proto" && k <> "req_fnv") fields
     in
@@ -162,15 +137,15 @@ let retryable_code = function
   | "overloaded" | "draining" | "integrity" -> true
   | _ -> false
 
-let connect_shard t (s : shard) =
-  if t.cfg.partitioned s.name then
+let connect_shard p (s : shard) =
+  if p.cfg.partitioned s.name then
     raise
       (Unix.Unix_error (Unix.EHOSTUNREACH, "connect", s.name ^ " (partitioned)"));
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.connect fd (Unix.ADDR_UNIX s.socket);
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.rpc_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.rpc_timeout_s
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO p.cfg.rpc_timeout_s;
+     Unix.setsockopt_float fd Unix.SO_SNDTIMEO p.cfg.rpc_timeout_s
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
@@ -199,8 +174,8 @@ let race_is_cancelled race =
   Mutex.unlock race.rm;
   c
 
-let with_shard_conn t race leg s f =
-  let fd = connect_shard t s in
+let with_shard_conn p race leg s f =
+  let fd = connect_shard p s in
   let registered =
     match race with
     | None -> true
@@ -226,13 +201,13 @@ let with_shard_conn t race leg s f =
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> f fd)
 
-let backoff_delay t i =
-  Mutex.lock t.m;
+let backoff_delay p i =
+  Mutex.lock p.m;
   let d =
-    Client.backoff ~base_delay_s:t.cfg.base_delay_s
-      ~max_delay_s:t.cfg.max_delay_s t.rng i
+    Client.backoff ~base_delay_s:p.cfg.base_delay_s
+      ~max_delay_s:p.cfg.max_delay_s p.rng i
   in
-  Mutex.unlock t.m;
+  Mutex.unlock p.m;
   d
 
 exception Retry_leg of exn
@@ -242,8 +217,8 @@ exception Retry_leg of exn
    retry (no request escaped); mid-flight transport failures retry only
    when [may_retry]; typed overloaded/draining/integrity responses
    retry with backoff. *)
-let forward_retry t ?race ?(leg = 0) ?attempts ~may_retry (s : shard) req =
-  let attempts = Option.value ~default:t.cfg.attempts attempts in
+let forward_retry p ?race ?(leg = 0) ?attempts ~may_retry (s : shard) req =
+  let attempts = Option.value ~default:p.cfg.attempts attempts in
   let sealed = seal req in
   let rec go i =
     (match race with
@@ -251,9 +226,9 @@ let forward_retry t ?race ?(leg = 0) ?attempts ~may_retry (s : shard) req =
     | _ -> ());
     let attempt () =
       match
-        with_shard_conn t race leg s (fun fd ->
-            Protocol.send ~sock:t.cfg.sock fd sealed;
-            match Protocol.recv ~sock:t.cfg.sock fd with
+        with_shard_conn p race leg s (fun fd ->
+            Protocol.send ~sock:p.cfg.sock fd sealed;
+            match Protocol.recv ~sock:p.cfg.sock fd with
             | None ->
               raise
                 (Protocol.Protocol_error "shard closed the connection mid-request")
@@ -268,21 +243,21 @@ let forward_retry t ?race ?(leg = 0) ?attempts ~may_retry (s : shard) req =
         when may_retry ->
         raise (Retry_leg e)
     in
-    bump t (fun t -> t.forwarded <- t.forwarded + 1);
+    bump p (fun p -> p.forwarded <- p.forwarded + 1);
     match attempt () with
     | (h, _) as resp -> (
       match Client.error_of h with
       | Some (code, _) when retryable_code code && i + 1 < attempts ->
         if code = "integrity" then
-          bump t (fun t -> t.integrity_failures <- t.integrity_failures + 1);
-        bump t (fun t -> t.retries <- t.retries + 1);
-        Unix.sleepf (backoff_delay t i);
+          bump p (fun p -> p.integrity_failures <- p.integrity_failures + 1);
+        bump p (fun p -> p.retries <- p.retries + 1);
+        Unix.sleepf (backoff_delay p i);
         go (i + 1)
       | _ -> resp)
     | exception Retry_leg e ->
       if i + 1 < attempts then begin
-        bump t (fun t -> t.retries <- t.retries + 1);
-        Unix.sleepf (backoff_delay t i);
+        bump p (fun p -> p.retries <- p.retries + 1);
+        Unix.sleepf (backoff_delay p i);
         go (i + 1)
       end
       else raise e
@@ -291,32 +266,32 @@ let forward_retry t ?race ?(leg = 0) ?attempts ~may_retry (s : shard) req =
 
 (* ---------------- hedged / failover forwarding ---------------- *)
 
-let note_latency t d =
-  Mutex.lock t.m;
-  t.lat.(t.lat_n mod Array.length t.lat) <- d;
-  t.lat_n <- t.lat_n + 1;
-  Mutex.unlock t.m
+let note_latency p d =
+  Mutex.lock p.m;
+  p.lat.(p.lat_n mod Array.length p.lat) <- d;
+  p.lat_n <- p.lat_n + 1;
+  Mutex.unlock p.m
 
 (* When to launch the second leg: a fixed configured delay, or an
    adaptive one — twice the p95 of recent forward latencies, floored.
    With fewer than 8 observations there is no signal; wait the full
    timeout (i.e. effectively do not hedge). *)
-let hedge_deadline t =
-  match t.cfg.hedge_after_s with
+let hedge_deadline p =
+  match p.cfg.hedge_after_s with
   | Some d -> d
   | None ->
-    Mutex.lock t.m;
-    let n = min t.lat_n (Array.length t.lat) in
+    Mutex.lock p.m;
+    let n = min p.lat_n (Array.length p.lat) in
     let d =
-      if n < 8 then t.cfg.rpc_timeout_s
+      if n < 8 then p.cfg.rpc_timeout_s
       else begin
-        let xs = Array.sub t.lat 0 n in
+        let xs = Array.sub p.lat 0 n in
         Array.sort compare xs;
         let p95 = xs.(int_of_float (0.95 *. float_of_int (n - 1))) in
-        Float.max t.cfg.hedge_floor_s (2. *. p95)
+        Float.max p.cfg.hedge_floor_s (2. *. p95)
       end
     in
-    Mutex.unlock t.m;
+    Mutex.unlock p.m;
     d
 
 (* Forward to the owner chain: primary first, a hedge leg on the first
@@ -326,7 +301,7 @@ let hedge_deadline t =
    sockets.  All replicas down → a typed [unavailable] error, which
    keeps the cluster invariant: typed error or byte-identical payload,
    never silence, never wrong bytes. *)
-let race_forward t shards req ~may_retry =
+let race_forward p shards req ~may_retry =
   match shards with
   | [] ->
     ( (Protocol.error ~code:"unavailable" ~message:"no shard owns this key", None),
@@ -348,7 +323,7 @@ let race_forward t shards req ~may_retry =
         (Thread.create
            (fun () ->
              let outcome =
-               match forward_retry t ~race ~leg ~may_retry s req with
+               match forward_retry p ~race ~leg ~may_retry s req with
                | resp -> Ok resp
                | exception e -> Error e
              in
@@ -365,7 +340,7 @@ let race_forward t shards req ~may_retry =
     in
     let started = ref 1 in
     spawn 0 (List.hd shards);
-    let hedge_after = hedge_deadline t in
+    let hedge_after = hedge_deadline p in
     let t0 = Monotime.now () in
     let rec wait () =
       Mutex.lock race.rm;
@@ -381,7 +356,7 @@ let race_forward t shards req ~may_retry =
             try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
           losers;
         Mutex.unlock race.rm;
-        if leg > 0 then bump t (fun t -> t.hedge_wins <- t.hedge_wins + 1);
+        if leg > 0 then bump p (fun p -> p.hedge_wins <- p.hedge_wins + 1);
         (resp, Some name)
       | None ->
         if fin >= !started then begin
@@ -396,7 +371,7 @@ let race_forward t shards req ~may_retry =
             match last_err with Some e -> retryable_connect e | None -> true
           in
           if !started < n_shards && (may_retry || connect_only) then begin
-            bump t (fun t -> t.failovers <- t.failovers + 1);
+            bump p (fun p -> p.failovers <- p.failovers + 1);
             incr started;
             spawn (!started - 1) (List.nth shards (!started - 1));
             wait ()
@@ -416,7 +391,7 @@ let race_forward t shards req ~may_retry =
           && !started < n_shards
           && Monotime.now () -. t0 >= hedge_after *. float_of_int !started
         then begin
-          bump t (fun t -> t.hedged <- t.hedged + 1);
+          bump p (fun p -> p.hedged <- p.hedged + 1);
           incr started;
           spawn (!started - 1) (List.nth shards (!started - 1));
           wait ()
@@ -430,16 +405,12 @@ let race_forward t shards req ~may_retry =
 
 (* ---------------- warming ---------------- *)
 
-let enqueue_warm_req t wreq =
-  let sgn = Jsonx.signature ~drop:[ "proto"; "req_fnv" ] wreq in
-  Mutex.lock t.m;
-  let fresh = not (Hashtbl.mem t.warm_seen sgn) in
-  if fresh then begin
-    Hashtbl.replace t.warm_seen sgn ();
-    Queue.push wreq t.warm_q
-  end;
-  Mutex.unlock t.m;
-  fresh
+let warm_req benchmark obj options =
+  Jsonx.Obj
+    (("op", Jsonx.Str "warm")
+    :: ("benchmark", Jsonx.Str benchmark)
+    :: ("object", Jsonx.Str obj)
+    :: options)
 
 let warm_option_fields req =
   List.filter_map
@@ -460,125 +431,61 @@ let auto_warm t req =
       List.iter
         (fun obj ->
           if Some obj <> just_computed then
-            ignore
-              (enqueue_warm_req t
-                 (Jsonx.Obj
-                    (("op", Jsonx.Str "warm")
-                    :: ("benchmark", Jsonx.Str b)
-                    :: ("object", Jsonx.Str obj)
-                    :: keep))))
+            ignore (Serving.enqueue_warm t (warm_req b obj keep)))
         e.Registry.objects)
 
-let handle_warm t req =
-  match
-    let benchmark =
-      match Jsonx.str (Jsonx.member "benchmark" req) with
-      | Some b -> b
-      | None -> failwith "missing string field \"benchmark\""
-    in
-    let e =
-      match Registry.find benchmark with
-      | e -> e
-      | exception Not_found ->
-        failwith (Printf.sprintf "unknown benchmark %S" benchmark)
-    in
-    let object_name =
-      match Jsonx.str (Jsonx.member "object" req) with
-      | Some o -> o
-      | None -> failwith "missing string field \"object\""
-    in
-    (e, object_name)
-  with
-  | exception Failure msg ->
-    (Protocol.error ~code:"bad-request" ~message:msg, None)
-  | e, object_name ->
-    let wreq =
-      Jsonx.Obj
-        (("op", Jsonx.Str "warm")
-        :: ("benchmark", Jsonx.Str e.Registry.benchmark)
-        :: ("object", Jsonx.Str object_name)
-        :: warm_option_fields req)
-    in
-    let fresh = enqueue_warm_req t wreq in
-    ( Protocol.ok
-        [
-          ("op", Jsonx.Str "warm");
-          ("benchmark", Jsonx.Str e.Registry.benchmark);
-          ("object", Jsonx.Str object_name);
-          ("queued", Jsonx.Bool fresh);
-        ],
-      None )
-
-(* Push queued warms to their owning shards (which queue the actual
-   compute behind their own idle-only warm threads), strictly while no
-   client forward is in flight here. *)
-let warm_loop t () =
-  while not (stopping t) do
-    let item =
-      Mutex.lock t.m;
-      let it =
-        if (not (Queue.is_empty t.warm_q)) && t.inflight = 0 then
-          Some (Queue.pop t.warm_q)
-        else None
-      in
-      Mutex.unlock t.m;
-      it
-    in
-    match item with
-    | None -> Thread.delay 0.02
-    | Some wreq -> (
-      let owners = owners_of t wreq in
-      match owners with
-      | [] -> bump t (fun t -> t.warm_errors <- t.warm_errors + 1)
-      | primary :: _ -> (
-        match forward_retry t ~may_retry:true primary wreq with
-        | h, _ ->
-          if Client.error_of h = None then
-            bump t (fun t -> t.warmed <- t.warmed + 1)
-          else bump t (fun t -> t.warm_errors <- t.warm_errors + 1)
-        | exception _ ->
-          bump t (fun t -> t.warm_errors <- t.warm_errors + 1)))
-  done
+(* Push a queued warm to its owning shard, which queues the actual
+   compute behind its own idle-only warm thread. *)
+let push_warm t wreq =
+  let p = Serving.state t in
+  match owners_of p wreq with
+  | [] -> false
+  | primary :: _ ->
+    Client.error_of (fst (forward_retry p ~may_retry:true primary wreq)) = None
 
 (* ---------------- stat ---------------- *)
 
 let proxy_counters t =
-  Mutex.lock t.m;
+  let p = Serving.state t in
+  let c = Serving.counters t and queued = Serving.warm_queued t in
+  Mutex.lock p.m;
   let o =
     Jsonx.Obj
       [
-        ("served", Jsonx.Int t.served);
-        ("errors", Jsonx.Int t.errors);
-        ("forwarded", Jsonx.Int t.forwarded);
-        ("coalesced", Jsonx.Int t.coalesced);
-        ("hedged", Jsonx.Int t.hedged);
-        ("hedge_wins", Jsonx.Int t.hedge_wins);
-        ("failovers", Jsonx.Int t.failovers);
-        ("retries", Jsonx.Int t.retries);
-        ("integrity_failures", Jsonx.Int t.integrity_failures);
+        ("served", Jsonx.Int c.Serving.served);
+        ("errors", Jsonx.Int c.Serving.errors);
+        ("forwarded", Jsonx.Int p.forwarded);
+        ("coalesced", Jsonx.Int c.Serving.coalesced);
+        ("hedged", Jsonx.Int p.hedged);
+        ("hedge_wins", Jsonx.Int p.hedge_wins);
+        ("failovers", Jsonx.Int p.failovers);
+        ("retries", Jsonx.Int p.retries);
+        ( "integrity_failures",
+          Jsonx.Int (p.integrity_failures + c.Serving.refused) );
         ( "warming",
           Jsonx.Obj
             [
-              ("queued", Jsonx.Int (Queue.length t.warm_q));
-              ("warmed", Jsonx.Int t.warmed);
-              ("errors", Jsonx.Int t.warm_errors);
+              ("queued", Jsonx.Int queued);
+              ("warmed", Jsonx.Int c.Serving.warmed);
+              ("errors", Jsonx.Int c.Serving.warm_errors);
             ] );
       ]
   in
-  Mutex.unlock t.m;
+  Mutex.unlock p.m;
   o
 
 let cluster_stat t =
+  let p = Serving.state t in
   let shard_stats =
     List.map
       (fun s ->
         match
-          forward_retry t ~attempts:1 ~may_retry:true s
+          forward_retry p ~attempts:1 ~may_retry:true s
             (Jsonx.Obj [ ("op", Jsonx.Str "stat") ])
         with
         | h, _ -> (s, Some h)
         | exception _ -> (s, None))
-      t.cfg.shards
+      p.cfg.shards
   in
   Protocol.ok
     [
@@ -586,13 +493,13 @@ let cluster_stat t =
       ("role", Jsonx.Str "proxy");
       ("server", Jsonx.Str Version.version);
       ("proto", Jsonx.Int Protocol.version);
-      ("uptime_s", Jsonx.Float (Monotime.now () -. t.started_at));
+      ("uptime_s", Jsonx.Float (Serving.uptime_s t));
       ( "ring",
         Jsonx.Obj
           [
-            ("shards", Jsonx.Int (List.length t.cfg.shards));
-            ("vnodes", Jsonx.Int t.cfg.vnodes);
-            ("replication", Jsonx.Int t.cfg.replication);
+            ("shards", Jsonx.Int (List.length p.cfg.shards));
+            ("vnodes", Jsonx.Int p.cfg.vnodes);
+            ("replication", Jsonx.Int p.cfg.replication);
           ] );
       ("proxy", proxy_counters t);
       ( "shards",
@@ -609,60 +516,27 @@ let cluster_stat t =
              shard_stats) );
     ]
 
-(* ---------------- dispatch ---------------- *)
-
-let coalesced_header = function
-  | Jsonx.Obj fields
-    when List.assoc_opt "status" fields = Some (Jsonx.Str "ok") ->
-    Jsonx.Obj
-      (List.map
-         (fun (k, v) ->
-           match k with
-           | "served" -> (k, Jsonx.Str "coalesced")
-           | "cached" -> (k, Jsonx.Bool true)
-           | _ -> (k, v))
-         fields)
-  | h -> h
+(* ---------------- compute ops ---------------- *)
 
 let with_shard_field name = function
   | Jsonx.Obj fields when not (List.mem_assoc "shard" fields) ->
     Jsonx.Obj (fields @ [ ("shard", Jsonx.Str name) ])
   | h -> h
 
-let integrity_error req =
-  match Jsonx.str (Jsonx.member "req_fnv" req) with
-  | None -> None
-  | Some announced ->
-    let actual =
-      Protocol.fnv_hex (Jsonx.signature ~drop:[ "proto"; "req_fnv" ] req)
-    in
-    if String.equal announced actual then None
-    else
-      Some
-        (Protocol.error ~code:"integrity"
-           ~message:
-             (Printf.sprintf
-                "request checksum mismatch (%s announced, %s received)"
-                announced actual))
-
-let serve_compute t req op =
+let serve_compute t ~fd:_ ~deadline_s:_ ~lone:_ op req =
+  let p = Serving.state t in
   let may_retry = op <> "campaign" in
-  Mutex.lock t.m;
-  t.inflight <- t.inflight + 1;
-  Mutex.unlock t.m;
+  Atomic.incr p.inflight;
   Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.m;
-      t.inflight <- t.inflight - 1;
-      Mutex.unlock t.m)
+    ~finally:(fun () -> Atomic.decr p.inflight)
     (fun () ->
       let t0 = Monotime.now () in
-      let (header, payload), winner = race_forward t (owners_of t req) req ~may_retry in
+      let (header, payload), winner = race_forward p (owners_of p req) req ~may_retry in
       (match Client.error_of header with
       | None ->
-        note_latency t (Monotime.now () -. t0);
+        note_latency p (Monotime.now () -. t0);
         if
-          t.cfg.warm_auto && op = "advf"
+          p.cfg.warm_auto && op = "advf"
           && Jsonx.str (Jsonx.member "served" header) = Some "computed"
         then auto_warm t req
       | Some _ -> ());
@@ -671,207 +545,43 @@ let serve_compute t req op =
       in
       (header, payload))
 
-let dispatch t req =
-  match Jsonx.int (Jsonx.member "proto" req) with
-  | Some p when p <> Protocol.version ->
-    ( Protocol.error ~code:"proto-mismatch"
-        ~message:
-          (Printf.sprintf "server speaks protocol %d, client sent %d"
-             Protocol.version p),
-      None )
-  | _ -> (
-    match Jsonx.str (Jsonx.member "op" req) with
-    | None -> (Protocol.error ~code:"bad-request" ~message:"missing op", None)
-    | Some "version" ->
-      ( Protocol.ok
-          [
-            ("op", Jsonx.Str "version");
-            ("role", Jsonx.Str "proxy");
-            ("server", Jsonx.Str Version.version);
-            ("proto", Jsonx.Int Protocol.version);
-          ],
-        None )
-    | Some "stat" -> (cluster_stat t, None)
-    | Some "warm" -> handle_warm t req
-    | Some (("advf" | "campaign" | "report" | "predict" | "advise") as op) -> (
-      match integrity_error req with
-      | Some e ->
-        bump t (fun t -> t.integrity_failures <- t.integrity_failures + 1);
-        (e, None)
-      | None -> (
-        let sgn = Jsonx.signature ~drop:[ "proto"; "req_fnv" ] req in
-        let role =
-          Mutex.lock t.m;
-          let r =
-            match Hashtbl.find_opt t.flights sgn with
-            | Some fl -> `Follow fl
-            | None ->
-              let fl =
-                { fm = Mutex.create (); fc = Condition.create (); fresult = None }
-              in
-              Hashtbl.replace t.flights sgn fl;
-              `Lead fl
-          in
-          Mutex.unlock t.m;
-          r
-        in
-        match role with
-        | `Follow fl ->
-          Mutex.lock fl.fm;
-          while fl.fresult = None do
-            Condition.wait fl.fc fl.fm
-          done;
-          let header, payload = Option.get fl.fresult in
-          Mutex.unlock fl.fm;
-          bump t (fun t -> t.coalesced <- t.coalesced + 1);
-          (coalesced_header header, payload)
-        | `Lead fl -> (
-          let resolve r =
-            Mutex.lock t.m;
-            Hashtbl.remove t.flights sgn;
-            Mutex.unlock t.m;
-            Mutex.lock fl.fm;
-            fl.fresult <- Some r;
-            Condition.broadcast fl.fc;
-            Mutex.unlock fl.fm;
-            r
-          in
-          match serve_compute t req op with
-          | r -> resolve r
-          | exception e ->
-            ignore
-              (resolve
-                 ( Protocol.error ~code:"internal"
-                     ~message:(Printexc.to_string e),
-                   None ));
-            raise e)))
-    | Some op ->
-      (Protocol.error ~code:"bad-request" ~message:("unknown op " ^ op), None))
-
-(* ---------------- connection & accept loops ---------------- *)
-
-let is_ok = function
-  | Jsonx.Obj fields -> List.assoc_opt "status" fields = Some (Jsonx.Str "ok")
-  | _ -> false
-
-let handle_conn t fd =
-  let rec loop () =
-    if not (stopping t) then begin
-      match Unix.select [ fd ] [] [] 0.25 with
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Protocol.recv fd with
-        | None -> ()
-        | Some (req, _payload) ->
-          let header, payload = dispatch t req in
-          Mutex.lock t.m;
-          if is_ok header then t.served <- t.served + 1
-          else t.errors <- t.errors + 1;
-          Mutex.unlock t.m;
-          Protocol.send fd ?payload header;
-          loop ())
-    end
-  in
-  (try loop () with
-  | Protocol.Protocol_error msg ->
-    (try Protocol.send fd (Protocol.error ~code:"bad-request" ~message:msg)
-     with _ -> ());
-    bump t (fun t -> t.errors <- t.errors + 1)
-  | Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.m;
-  t.conns <- t.conns - 1;
-  Condition.broadcast t.conns_done;
-  Mutex.unlock t.m
-
-let accept_loop t () =
-  while not (stopping t) do
-    match Unix.select [ t.listen ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept t.listen with
-      | fd, _ ->
-        Mutex.lock t.m;
-        t.conns <- t.conns + 1;
-        Mutex.unlock t.m;
-        ignore (Thread.create (fun () -> handle_conn t fd) ())
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ())
-  done
+let hooks =
+  {
+    Serving.version = [ ("role", Jsonx.Str "proxy") ];
+    stat = cluster_stat;
+    compute = serve_compute;
+    warm_item =
+      (fun e object_name req ->
+        warm_req e.Registry.benchmark object_name (warm_option_fields req));
+    warm = push_warm;
+    (* strictly while no client forward is in flight here *)
+    idle = (fun p -> Atomic.get p.inflight = 0);
+  }
 
 let start cfg =
   if cfg.shards = [] then invalid_arg "Proxy.start: no shards";
   if cfg.replication < 1 then invalid_arg "Proxy.start: replication";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let ring =
     Ring.make ~vnodes:cfg.vnodes (List.map (fun s -> s.name) cfg.shards)
   in
-  if Sys.file_exists cfg.socket then Unix.unlink cfg.socket;
-  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen (Unix.ADDR_UNIX cfg.socket);
-  Unix.listen listen 64;
-  let t =
-    {
-      cfg;
-      ring;
-      listen;
-      stop_flag = Atomic.make false;
-      m = Mutex.create ();
-      conns_done = Condition.create ();
-      flights = Hashtbl.create 16;
-      rng = Rng.of_path ~seed:cfg.seed [ 7001 ];
-      lat = Array.make 128 0.;
-      lat_n = 0;
-      inflight = 0;
-      conns = 0;
-      served = 0;
-      errors = 0;
-      forwarded = 0;
-      coalesced = 0;
-      hedged = 0;
-      hedge_wins = 0;
-      failovers = 0;
-      retries = 0;
-      integrity_failures = 0;
-      warm_q = Queue.create ();
-      warm_seen = Hashtbl.create 64;
-      warmed = 0;
-      warm_errors = 0;
-      accept_thread = None;
-      warm_thread = None;
-      stopped = false;
-      started_at = Monotime.now ();
-    }
-  in
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
-  t.warm_thread <- Some (Thread.create (warm_loop t) ());
-  t
+  Serving.start ~socket:cfg.socket ~sock:Sock.real
+    (fun () ->
+      {
+        cfg;
+        ring;
+        m = Mutex.create ();
+        rng = Rng.of_path ~seed:cfg.seed [ 7001 ];
+        lat = Array.make 128 0.;
+        lat_n = 0;
+        inflight = Atomic.make 0;
+        forwarded = 0;
+        hedged = 0;
+        hedge_wins = 0;
+        failovers = 0;
+        retries = 0;
+        integrity_failures = 0;
+      })
+    hooks
 
-let stop t =
-  Atomic.set t.stop_flag true;
-  Mutex.lock t.m;
-  let first = not t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.m;
-  if first then begin
-    Option.iter Thread.join t.accept_thread;
-    Mutex.lock t.m;
-    while t.conns > 0 do
-      Condition.wait t.conns_done t.m
-    done;
-    Mutex.unlock t.m;
-    Option.iter Thread.join t.warm_thread;
-    (try Unix.close t.listen with Unix.Unix_error _ -> ());
-    if Sys.file_exists t.cfg.socket then (
-      try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ())
-  end
-
-let run cfg =
-  let t = start cfg in
-  let quit _ = Atomic.set t.stop_flag true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle quit);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle quit);
-  while not (stopping t) do
-    Thread.delay 0.2
-  done;
-  stop t
+let stop t = Serving.stop t
+let run cfg = Serving.run (start cfg) ~stop

@@ -13,9 +13,8 @@
 
     Fault posture per mechanism:
     - {e routing}: deterministic (pure function of shard names), see {!Ring};
-    - {e coalescing}: single-flight on the canonical request signature
-      ({!Moard_server.Jsonx.signature}); followers get the leader's
-      response with [served = "coalesced"];
+    - {e coalescing}: the single-flight of {!Moard_server.Serving},
+      whose envelope the proxy shares with the daemon;
     - {e integrity}: forwarded requests carry a ["req_fnv"] checksum and
       response payloads a ["payload_fnv"]; a corrupted inter-node frame
       is refused/retried, never served;
@@ -74,9 +73,6 @@ val stop : t -> unit
 (** Graceful drain, idempotent: stop accepting, finish in-flight
     connections, stop the warm pusher, unlink the socket. *)
 
-val stopping : t -> bool
-val ring : t -> Ring.t
-
 val run : config -> unit
 (** {!start}, install SIGTERM/SIGINT handlers, block until drained. *)
 
@@ -84,6 +80,3 @@ val run : config -> unit
 
 val routing_key : Moard_server.Jsonx.t -> string
 (** Exposed for tests: the placement key of a request. *)
-
-val dispatch : t -> Moard_server.Jsonx.t -> Moard_server.Jsonx.t * string option
-(** Exposed for tests: serve one request in-process. *)

@@ -1,3 +1,4 @@
+module Verdict = Moard_analysis.Verdict
 module Errmodel = Moard_bits.Errmodel
 
 type report = {

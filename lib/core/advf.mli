@@ -22,10 +22,12 @@ type report = {
   masking_events : float;   (** total (fractional) error-masking events *)
   advf : float;             (** in [0, 1] *)
   by_level : float array;
-      (** contribution of each {!Verdict.level} to aDVF (sums to aDVF) *)
+      (** contribution of each {!Moard_analysis.Verdict.level} to aDVF
+          (sums to aDVF) *)
   by_kind : float array;
-      (** contribution of each {!Verdict.kind} at the operation and error
-          propagation levels (Figure 5's decomposition) *)
+      (** contribution of each {!Moard_analysis.Verdict.kind} at the
+          operation and error propagation levels (Figure 5's
+          decomposition) *)
   patterns_analyzed : int;
   op_resolved : int;        (** patterns settled by operation-level analysis *)
   prop_resolved : int;      (** settled by propagation replay *)
@@ -43,20 +45,22 @@ val create : ?model:Moard_bits.Errmodel.t -> string -> t
 
 val add_involvement : t -> unit
 
-val add_pattern : t -> lanes:int -> stage:stage -> Verdict.t -> unit
+val add_pattern :
+  t -> lanes:int -> stage:stage -> Moard_analysis.Verdict.t -> unit
 (** One pattern of an involvement with [lanes] patterns: weight
     [1 / lanes], added exactly.
     @raise Invalid_argument if [lanes] does not divide the accumulator
     model's denominator. *)
 
 val add_pattern_set : t -> lanes:int -> stage:stage -> count:int ->
-  Verdict.t -> unit
+  Moard_analysis.Verdict.t -> unit
 (** Absorb [count] patterns sharing one verdict and stage in O(1) — the
     popcount fast path of the batched kernel. Bit-identical to [count]
     calls of {!add_pattern} by construction (integer numerators).
     @raise Invalid_argument on a negative count or non-dividing [lanes]. *)
 
-val add_pattern_weight : t -> weight:float -> stage:stage -> Verdict.t -> unit
+val add_pattern_weight :
+  t -> weight:float -> stage:stage -> Moard_analysis.Verdict.t -> unit
 (** Legacy float-weight stream for the ad-hoc multi-pattern path
     ([Model.options.multi]), whose pattern counts have no common
     denominator. Must not be mixed with the exact stream in one

@@ -1,3 +1,5 @@
+module Masking = Moard_analysis.Masking
+module Propagation = Moard_analysis.Propagation
 module Context = Moard_inject.Context
 module Consume = Moard_trace.Consume
 module Bitval = Moard_bits.Bitval

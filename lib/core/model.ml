@@ -1,3 +1,7 @@
+module Derive = Moard_analysis.Derive
+module Masking = Moard_analysis.Masking
+module Propagation = Moard_analysis.Propagation
+module Verdict = Moard_analysis.Verdict
 module Context = Moard_inject.Context
 module Outcome = Moard_inject.Outcome
 module Consume = Moard_trace.Consume

@@ -21,7 +21,7 @@ type options = {
       (** extra multi-bit pattern families (§VII-B); default none *)
   batch : bool;
       (** classify each site's whole error-model pattern set through the
-          lane-parallel kernel ({!Masking.analyze_all}) and absorb the
+          lane-parallel kernel ({!Moard_analysis.Masking.analyze_all}) and absorb the
           masked/crash sets by popcount, walking only changed/divergent
           lanes through propagation and fault injection. Reports are
           byte-identical to the scalar walk (the differential suite checks

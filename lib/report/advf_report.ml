@@ -1,5 +1,5 @@
 module Advf = Moard_core.Advf
-module Verdict = Moard_core.Verdict
+module Verdict = Moard_analysis.Verdict
 
 let fl x = Printf.sprintf "%.17g" x
 

@@ -13,23 +13,15 @@
     CLI output. Parallelism comes from concurrent requests across the
     pool, not from splitting one request.
 
-    Compute requests are additionally single-flight on their canonical
-    signature ({!Jsonx.signature} with transport fields stripped): M
-    concurrent clients asking the same question elect one leader and
-    share its response — followers see [served = "coalesced"],
-    [cached = true], and the identical payload bytes.  A request whose
-    client connection dies while it waits (a hedged request whose other
-    leg won, or a crashed caller) is cooperatively cancelled unless
-    followers are coalesced behind it.
-
-    A ["warm"] request queues an [advf] precompute and acknowledges
-    immediately; a background thread drains the queue through the
-    normal dispatch path strictly when the pool is idle, so warming
-    fills the store during quiet slots without delaying live queries —
-    and live queries coalesce onto an in-progress warm compute.
-    Requests carrying a ["req_fnv"] checksum (stamped by the cluster
-    proxy) are verified before dispatch and refused with a typed
-    [integrity] error on mismatch, which is always safe to resend.
+    The request envelope — protocol check, the ["req_fnv"] integrity
+    refusal, single-flight coalescing of identical compute requests,
+    the idle-only warm queue — is {!Serving}'s. The daemon's own part:
+    a compute request whose client connection dies while it waits (a
+    hedged request whose other leg won, or a crashed caller) is
+    cooperatively cancelled unless followers are coalesced behind it;
+    and a ["warm"] queues the [advf] request itself, drained through
+    the normal dispatch path strictly when the pool is idle, so live
+    queries coalesce onto an in-progress warm compute.
 
     Overload and shutdown semantics: a full queue returns an explicit
     [overloaded] error (never a silent drop); a request exceeding the
@@ -89,8 +81,6 @@ val stop : t -> unit
     the pool, close and unlink the socket, then run a full major GC so
     the daemon's state is reclaimed before the caller starts another.
     Blocks until done. Idempotent. *)
-
-val stopping : t -> bool
 
 val store : t -> Moard_store.Store.t
 (** The daemon's store handle (the test suite corrupts entries through

@@ -8,4 +8,4 @@ let () =
    @ Test_campaign.suite @ Test_campaign_diff.suite @ Test_store.suite
    @ Test_server.suite @ Test_batched.suite @ Test_chaos.suite
    @ Test_cluster.suite @ Test_predict.suite @ Test_parallel_vm.suite
-   @ Test_advise.suite)
+   @ Test_advise.suite @ Test_serving.suite)

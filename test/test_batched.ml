@@ -11,8 +11,8 @@
    - Model.analyze and Engine.run with and without the kernel: identical
      reports and payloads byte for byte. *)
 
-module Masking = Moard_core.Masking
-module Verdict = Moard_core.Verdict
+module Masking = Moard_analysis.Masking
+module Verdict = Moard_analysis.Verdict
 module Model = Moard_core.Model
 module Advf = Moard_core.Advf
 module Consume = Moard_trace.Consume

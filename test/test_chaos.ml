@@ -15,7 +15,6 @@ module Key = Moard_store.Key
 module Store = Moard_store.Store
 module Protocol = Moard_server.Protocol
 module Jsonx = Moard_server.Jsonx
-module Harness = Moard_server.Chaos_harness
 module Registry = Moard_kernels.Registry
 module Context = Moard_inject.Context
 module Model = Moard_core.Model
@@ -381,36 +380,6 @@ let fuzz_tests =
         survives (Bytes.to_string b ^ "some trailing bytes"));
   ]
 
-(* ---------------------------------------------------------------- *)
-(* The harness end to end *)
-
-let harness_tests =
-  [
-    Alcotest.test_case "seeded chaos campaign: deterministic report, \
-                        invariant survives" `Slow (fun () ->
-        let r1 = Harness.run ~seed:5 ~rounds:1 () in
-        let r2 = Harness.run ~seed:5 ~rounds:1 () in
-        Alcotest.(check string) "same seed, byte-identical report"
-          (Jsonx.to_string (Harness.to_json r1))
-          (Jsonx.to_string (Harness.to_json r2));
-        Alcotest.(check bool) "no response diverged from baseline" true
-          (r1.Harness.diverged = 0);
-        Alcotest.(check bool) "no client hung" true (r1.Harness.hung = 0);
-        Alcotest.(check bool) "survived" true r1.Harness.survived;
-        Alcotest.(check int) "every request accounted for"
-          r1.Harness.requests
-          (r1.Harness.identical + r1.Harness.ok_dynamic + r1.Harness.partial
-          + r1.Harness.transport_failures + r1.Harness.diverged
-          + List.fold_left (fun a (_, n) -> a + n) 0 r1.Harness.typed_errors));
-    Alcotest.test_case "a different seed draws a different schedule" `Slow
-      (fun () ->
-        let r1 = Harness.run ~seed:5 ~rounds:1 () in
-        let r3 = Harness.run ~seed:1234 ~rounds:1 () in
-        Alcotest.(check bool) "schedules differ" true
-          (r1.Harness.schedule_hash <> r3.Harness.schedule_hash);
-        Alcotest.(check bool) "still survived" true r3.Harness.survived);
-  ]
-
 let suite =
   [
     ("chaos.plan", plan_tests);
@@ -418,5 +387,8 @@ let suite =
     ("chaos.fx", fx_tests);
     ("chaos.quarantine", quarantine_tests);
     ("chaos.protocol-fuzz", fuzz_tests);
-    ("chaos.harness", harness_tests);
+    ( "chaos.harness",
+      Test_serving.harness_tests
+        ~target:(fun () -> Moard_cluster.Harness.daemon ())
+        ~ci_width:0.05 (5, 1234) );
   ]

@@ -10,7 +10,6 @@
 module Ring = Moard_cluster.Ring
 module Proxy = Moard_cluster.Proxy
 module Local = Moard_cluster.Local
-module Harness = Moard_cluster.Cluster_harness
 module Jsonx = Moard_server.Jsonx
 module Client = Moard_server.Client
 module Chaos = Moard_chaos.Chaos
@@ -307,40 +306,13 @@ let cluster_tests =
               "warmed bytes" (Some (direct_payload "m_elemBC")) p));
   ]
 
-(* ---------------------------------------------------------------- *)
-(* The cluster chaos harness *)
-
-let harness_tests =
-  [
-    Alcotest.test_case "cluster chaos: same seed, byte-identical report; \
-                        invariant holds" `Slow (fun () ->
-        let r1 = Harness.run ~seed:11 ~rounds:1 () in
-        let r2 = Harness.run ~seed:11 ~rounds:1 () in
-        Alcotest.(check string)
-          "reports byte-identical"
-          (Jsonx.to_string (Harness.to_json r1))
-          (Jsonx.to_string (Harness.to_json r2));
-        Alcotest.(check bool) "nothing diverged" true (r1.Harness.diverged = 0);
-        Alcotest.(check bool) "no client hung" true (r1.Harness.hung = 0);
-        Alcotest.(check bool) "survived" true r1.Harness.survived;
-        Alcotest.(check int) "every request accounted for"
-          r1.Harness.requests
-          (r1.Harness.identical + r1.Harness.ok_dynamic + r1.Harness.partial
-          + r1.Harness.transport_failures + r1.Harness.diverged
-          + List.fold_left (fun a (_, n) -> a + n) 0 r1.Harness.typed_errors));
-    Alcotest.test_case "cluster chaos: different seed, different schedule, \
-                        same invariant" `Slow (fun () ->
-        let r1 = Harness.run ~seed:11 ~rounds:1 () in
-        let r3 = Harness.run ~seed:1234 ~rounds:1 () in
-        Alcotest.(check bool) "schedules differ" true
-          (r1.Harness.schedule_hash <> r3.Harness.schedule_hash);
-        Alcotest.(check bool) "still survived" true r3.Harness.survived);
-  ]
-
 let suite =
   [
     ("cluster.ring", ring_tests);
     ("cluster.routing", routing_tests);
     ("cluster.proxy", cluster_tests);
-    ("cluster.chaos", harness_tests);
+    ( "cluster.chaos",
+      Test_serving.harness_tests
+        ~target:(fun () -> Moard_cluster.Harness.cluster ())
+        ~ci_width:0.2 (11, 1234) );
   ]

@@ -5,7 +5,7 @@
                                   directly, so the store masks (the paper
                                   counts C's assignment as overwriting) *)
 
-module Derive = Moard_core.Derive
+module Derive = Moard_analysis.Derive
 module Consume = Moard_trace.Consume
 module Ast = Moard_lang.Ast
 open Tutil

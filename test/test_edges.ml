@@ -1,7 +1,7 @@
 (* Edge cases across modules that the main suites do not reach. *)
 
 module Machine = Moard_vm.Machine
-module Prop = Moard_core.Propagation
+module Prop = Moard_analysis.Propagation
 module Ast = Moard_lang.Ast
 module B = Moard_bits.Bitval
 open Tutil
@@ -79,15 +79,15 @@ let propagation_edges =
         let site = site_on m tape "a" is_read in
         let e = event_of tape site in
         match
-          Moard_core.Masking.analyze e site.Moard_trace.Consume.kind
+          Moard_analysis.Masking.analyze e site.Moard_trace.Consume.kind
             (Moard_bits.Pattern.Single 40)
         with
-        | Moard_core.Masking.Changed { out; _ } ->
+        | Moard_analysis.Masking.Changed { out; _ } ->
           let init =
             match out with
-            | Moard_core.Masking.To_reg { frame; reg; value } ->
+            | Moard_analysis.Masking.To_reg { frame; reg; value } ->
               Prop.From_reg { frame; reg; value }
-            | Moard_core.Masking.To_mem { addr; value; ty } ->
+            | Moard_analysis.Masking.To_mem { addr; value; ty } ->
               Prop.From_mem { addr; value; ty }
           in
           (match

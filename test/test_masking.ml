@@ -1,9 +1,9 @@
 (* Operation-level masking analysis (paper §III-C) and the
    read-modify-write store rule (§III-B). *)
 
-module Masking = Moard_core.Masking
-module Derive = Moard_core.Derive
-module Verdict = Moard_core.Verdict
+module Masking = Moard_analysis.Masking
+module Derive = Moard_analysis.Derive
+module Verdict = Moard_analysis.Verdict
 module Consume = Moard_trace.Consume
 module Pattern = Moard_bits.Pattern
 module Ast = Moard_lang.Ast

@@ -9,7 +9,7 @@ module Context = Moard_inject.Context
 module Machine = Moard_vm.Machine
 module Model = Moard_core.Model
 module Advf = Moard_core.Advf
-module Verdict = Moard_core.Verdict
+module Verdict = Moard_analysis.Verdict
 
 let traced_registry = Hashtbl.create 16
 

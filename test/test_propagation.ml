@@ -1,9 +1,9 @@
 (* Error-propagation replay (paper §III-D): contamination tracking,
    masking, divergence, window behaviour. *)
 
-module Prop = Moard_core.Propagation
-module Masking = Moard_core.Masking
-module Verdict = Moard_core.Verdict
+module Prop = Moard_analysis.Propagation
+module Masking = Moard_analysis.Masking
+module Verdict = Moard_analysis.Verdict
 module Consume = Moard_trace.Consume
 module Pattern = Moard_bits.Pattern
 module Machine = Moard_vm.Machine

@@ -215,7 +215,24 @@ let key_tests =
         Alcotest.(check bool)
           "seed changes the key" false
           (Key.to_hex (Key.campaign ~program:p ~plan:(plan 1))
-          = Key.to_hex (Key.campaign ~program:p ~plan:(plan 2))))
+          = Key.to_hex (Key.campaign ~program:p ~plan:(plan 2))));
+    (* Generated by golden_keys_gen.exe: a store written before a change
+       must still resolve after it. *)
+    Alcotest.test_case "registry keys and plan hashes match the snapshot"
+      `Quick (fun () ->
+        let path =
+          List.find Sys.file_exists
+            [ "golden_keys.expected"; "test/golden_keys.expected" ]
+        in
+        let ic = open_in path in
+        let text =
+          Fun.protect
+            ~finally:(fun () -> close_in ic)
+            (fun () -> really_input_string ic (in_channel_length ic))
+        in
+        Alcotest.(check (list string))
+          "kind, names, key" (String.split_on_char '\n' (String.trim text))
+          (Key_digest.lines ()));
   ]
 
 (* ---------------------------------------------------------------- *)
