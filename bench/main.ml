@@ -14,6 +14,7 @@ module Model = Moard_core.Model
 module Advf = Moard_core.Advf
 module Context = Moard_inject.Context
 module Registry = Moard_kernels.Registry
+module Errmodel = Moard_bits.Errmodel
 module Chart = Moard_report.Chart
 
 let section title =
@@ -372,18 +373,21 @@ let ablation () =
     "  (values move with the input, so the analysis must be redone per\n\
      input problem -- the paper's SVII-C limitation)\n";
   (* SVII-B multi-bit error patterns. *)
-  Printf.printf "\n[multi-bit patterns] LULESH, single vs burst-2 vs pair-8:\n";
+  Printf.printf
+    "\n[multi-bit patterns] LULESH, single-bit vs double-bit vs byte-burst:\n";
   let lulesh = Registry.find "LULESH" in
   let ctx = ctx_of lulesh in
   List.iter
     (fun obj ->
-      let with_multi multi =
-        (Model.analyze ~options:{ options with Model.multi } ctx
+      let under model =
+        (Model.analyze ~options:{ options with Model.model } ctx
            ~object_name:obj)
           .Advf.advf
       in
-      Printf.printf "  %-14s single %.4f   +burst2 %.4f   +pair8 %.4f\n%!"
-        obj (with_multi []) (with_multi [ `Burst 2 ]) (with_multi [ `Pair 8 ]))
+      Printf.printf "  %-14s single %.4f   double %.4f   byte %.4f\n%!" obj
+        (under Errmodel.Single_bit)
+        (under Errmodel.Double_adjacent)
+        (under Errmodel.Byte_burst))
     [ "m_delv_zeta"; "m_elemBC" ]
 
 let timing () =

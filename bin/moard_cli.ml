@@ -29,6 +29,7 @@ module Store = Moard_store.Store
 module Query = Moard_store.Query
 module Key = Moard_store.Key
 module Daemon = Moard_server.Daemon
+module Ops = Moard_server.Ops
 module Client = Moard_server.Client
 module Jsonx = Moard_server.Jsonx
 
@@ -100,15 +101,18 @@ let error_model_arg =
               $(i,whole-word) (every bit). Non-default models get their \
               own store keys, journal headers and report labels.")
 
-let no_batch_flag =
+let k_arg =
   Arg.(
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:"Disable the bit-parallel masking kernel and resolve every \
-              error pattern individually (the scalar oracle). Results -- \
-              reports, payloads, store keys -- are byte-identical with or \
-              without this flag; only wall-clock time changes. Escape \
-              hatch and differential-testing aid.")
+    value
+    & opt int Model.default_options.Model.k
+    & info [ "k" ] ~doc:"Error-propagation window (paper: 50).")
+
+let fi_budget_arg =
+  Arg.(
+    value
+    & opt int Model.default_options.Model.fi_budget
+    & info [ "fi-budget" ]
+        ~doc:"Max deterministic fault-injection runs (-1 = unlimited).")
 
 (* ------------------------------------------------------------------ *)
 
@@ -207,38 +211,36 @@ let analyze_cmd =
           ~doc:"Analyze consumption sites on this many domains in parallel \
                 (the golden run is still executed and traced only once).")
   in
-  let k_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "k" ] ~doc:"Error-propagation window (paper: 50).")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "fi-budget" ]
-          ~doc:"Max deterministic fault-injection runs (-1 = unlimited).")
-  in
   let no_cache =
     Arg.(
       value & flag
       & info [ "no-cache" ] ~doc:"Disable the error-equivalence cache.")
   in
+  let no_batch =
+    Arg.(
+      value & flag
+      & info [ "no-batch" ]
+          ~doc:"Disable the bit-parallel masking kernel and resolve every \
+                error pattern individually (the scalar oracle). Reports \
+                are byte-identical with or without this flag; only \
+                wall-clock time changes. Differential-testing aid.")
+  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Compute aDVF for data objects of a benchmark (the model).")
     Term.(
-      const run $ setup_logs $ bench_arg $ objects_arg $ k_arg $ budget_arg
-      $ no_cache $ optimize_flag $ jobs_arg $ no_batch_flag $ error_model_arg
+      const run $ setup_logs $ bench_arg $ objects_arg $ k_arg $ fi_budget_arg
+      $ no_cache $ optimize_flag $ jobs_arg $ no_batch $ error_model_arg
       $ harts_arg)
 
 let exhaustive_cmd =
-  let run () e objs stride no_batch model harts =
+  let run () e objs stride model harts =
     let ctx = Context.make (workload_for e ~harts) in
     List.iter
       (fun obj ->
         let r =
-          Moard_inject.Exhaustive.campaign ~model ~pattern_stride:stride
-            ~batch:(not no_batch) ctx ~object_name:obj
+          Moard_inject.Exhaustive.campaign ~model ~pattern_stride:stride ctx
+            ~object_name:obj
         in
         Format.printf "%a@." Moard_inject.Exhaustive.pp_result r)
       (pick_objects e objs)
@@ -254,7 +256,7 @@ let exhaustive_cmd =
        ~doc:"Exhaustive fault injection over all valid fault sites.")
     Term.(
       const run $ setup_logs $ bench_arg $ objects_arg $ stride
-      $ no_batch_flag $ error_model_arg $ harts_arg)
+      $ error_model_arg $ harts_arg)
 
 let rfi_cmd =
   let run () e objs tests seed =
@@ -445,12 +447,6 @@ let stable_flag =
         ~doc:"Strip the performance section from the JSON report, leaving \
               only the deterministic part (for golden-snapshot diffing).")
 
-let campaign_plan ctx e objs ~model ~seed ~confidence ~ci_width ~batch
-    ~max_samples =
-  ignore e;
-  Plan.make ~model ~seed ~confidence ~ci_width ~batch ~max_samples ctx
-    ~objects:objs
-
 let emit_report r ~out ~stable =
   (match out with
   | Some path ->
@@ -465,8 +461,8 @@ let campaign_plan_cmd =
   let run () e objs seed confidence ci_width batch max_samples model harts =
     let ctx = Context.make (workload_for e ~harts) in
     let plan =
-      campaign_plan ctx e (pick_objects e objs) ~model ~seed ~confidence
-        ~ci_width ~batch ~max_samples
+      Plan.make ~model ~seed ~confidence ~ci_width ~batch ~max_samples ctx
+        ~objects:(pick_objects e objs)
     in
     Format.printf
       "plan %s: workload %s%s%s, seed %d, confidence %g, target halfwidth \
@@ -508,7 +504,7 @@ let campaign_plan_cmd =
 
 let campaign_run_cmd =
   let run () e objs seed confidence ci_width batch max_samples domains journal
-      store_dir out stable no_batch model harts =
+      store_dir out stable model harts =
     (match (journal, store_dir) with
     | Some _, Some _ ->
       usage
@@ -518,8 +514,8 @@ let campaign_run_cmd =
     let w = workload_for e ~harts in
     let ctx = Context.make w in
     let plan =
-      campaign_plan ctx e (pick_objects e objs) ~model ~seed ~confidence
-        ~ci_width ~batch ~max_samples
+      Plan.make ~model ~seed ~confidence ~ci_width ~batch ~max_samples ctx
+        ~objects:(pick_objects e objs)
     in
     (* The journal must rebuild the same workload on resume; the default
        is left implicit so pre-existing journals keep resolving. *)
@@ -529,9 +525,8 @@ let campaign_run_cmd =
     in
     match store_dir with
     | Some dir ->
-      let payload, status, r =
-        Query.campaign (open_store dir) ~domains ~batch:(not no_batch)
-          ~journal_meta
+      let _, payload, status, r =
+        Query.campaign (Some (open_store dir)) ~domains ~journal_meta
           ~ctx:(fun () -> ctx)
           ~program:w.Moard_inject.Workload.program ~plan ()
       in
@@ -550,10 +545,7 @@ let campaign_run_cmd =
           close_out oc
         | None -> print_string payload))
     | None ->
-      let r =
-        Engine.run ~domains ~batch:(not no_batch) ?journal ~journal_meta
-          ctx plan
-      in
+      let r = Engine.run ~domains ?journal ~journal_meta ctx plan in
       emit_report r ~out ~stable
   in
   Cmd.v
@@ -567,7 +559,7 @@ let campaign_run_cmd =
       const run $ setup_logs $ bench_arg $ objects_arg $ seed_arg
       $ confidence_arg $ ci_width_arg $ batch_arg $ max_samples_arg
       $ domains_arg $ journal_arg $ store_dir_arg $ out_arg $ stable_flag
-      $ no_batch_flag $ error_model_arg $ harts_arg)
+      $ error_model_arg $ harts_arg)
 
 let required_journal =
   Arg.(
@@ -614,9 +606,9 @@ let setup_from_journal path =
   (ctx, plan, w.Moard_inject.Workload.program)
 
 let campaign_resume_cmd =
-  let run () journal domains store_dir out stable no_batch =
+  let run () journal domains store_dir out stable =
     let ctx, plan, program = setup_from_journal journal in
-    let r = Engine.resume ~domains ~batch:(not no_batch) ~journal ctx plan in
+    let r = Engine.resume ~domains ~journal ctx plan in
     (match store_dir with
     | Some dir ->
       let complete =
@@ -646,7 +638,7 @@ let campaign_resume_cmd =
              result store.")
     Term.(
       const run $ setup_logs $ required_journal $ domains_arg $ store_dir_arg
-      $ out_arg $ stable_flag $ no_batch_flag)
+      $ out_arg $ stable_flag)
 
 let campaign_report_cmd =
   let run () journal out stable =
@@ -753,17 +745,6 @@ let parallel_cmd =
           ~doc:"Hart count of the parallel configuration (at least 2; the \
                 serial and one-hart columns are always computed).")
   in
-  let k_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "k" ] ~doc:"Error-propagation window (paper: 50).")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "fi-budget" ]
-          ~doc:"Max deterministic fault-injection runs (-1 = unlimited).")
-  in
   Cmd.v
     (Cmd.info "parallel"
        ~doc:"Compare a kernel's resilience serial vs its SPMD port: aDVF \
@@ -771,7 +752,7 @@ let parallel_cmd =
              and hart-private state on the N-hart golden tape.")
     Term.(
       const run $ setup_logs $ bench_arg $ objects_arg $ harts $ k_arg
-      $ budget_arg $ out_arg)
+      $ fi_budget_arg $ out_arg)
 
 let campaign_cmd =
   Cmd.group
@@ -792,7 +773,7 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix socket of the moardd daemon.")
 
 let serve_cmd =
-  let run () socket store_dir workers queue timeout no_batch =
+  let run () socket store_dir workers queue timeout =
     let cfg =
       {
         Daemon.default_config with
@@ -803,7 +784,6 @@ let serve_cmd =
         workers;
         queue;
         timeout_s = timeout;
-        batch = not no_batch;
       }
     in
     Logs.app (fun m ->
@@ -845,196 +825,7 @@ let serve_cmd =
              to their journals before exit).")
     Term.(
       const run $ setup_logs $ socket_arg $ store_dir_arg $ workers $ queue
-      $ timeout $ no_batch_flag)
-
-(* ---- query ---- *)
-
-let offline_flag =
-  Arg.(
-    value & flag
-    & info [ "offline" ]
-        ~doc:"Compute locally instead of asking a daemon. With $(b,--store) \
-              the local store caches the result; the printed payload is \
-              byte-identical either way.")
-
-let meta_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "meta" ] ~docv:"PATH"
-        ~doc:"Write the response header (JSON: cache status, key, server) \
-              here — the payload on stdout stays clean for diffing.")
-
-let write_meta meta header =
-  match meta with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Jsonx.to_string header);
-    output_char oc '\n';
-    close_out oc
-
-let rpc_payload ~socket req ~meta =
-  let header, payload = Client.rpc ~socket req in
-  (match Client.error_of header with
-  | Some (code, msg) -> failwith (Printf.sprintf "daemon: %s: %s" code msg)
-  | None -> ());
-  write_meta meta header;
-  match payload with
-  | Some p -> p
-  | None -> failwith "daemon: response carried no payload"
-
-let offline_header ~op ~key ~status extra =
-  Jsonx.Obj
-    ([
-       ("status", Jsonx.Str "ok");
-       ("op", Jsonx.Str op);
-       ("key", Jsonx.Str (Key.to_hex key));
-       ("served", Jsonx.Str (Query.status_name status));
-       ("cached", Jsonx.Bool (Query.is_hit status));
-       ("offline", Jsonx.Bool true);
-     ]
-    @ extra)
-
-(* present only for non-default models, so daemon request bytes (and the
-   daemon's derived keys) stay identical for single-bit queries *)
-let model_fields model =
-  if model <> Errmodel.Single_bit then
-    [ ("error_model", Jsonx.Str (Errmodel.to_string model)) ]
-  else []
-
-(* The query commands are constructors over the socket argument: the
-   same terms serve both [moard query] (daemon socket default) and
-   [moard cluster query] (proxy socket default) — same bytes either
-   way, which is the point. *)
-let query_advf_cmd_with socket_arg =
-  let run () e objs k fi_budget socket offline store_dir meta no_batch model =
-    let options =
-      { Model.default_options with k; fi_budget; batch = not no_batch; model }
-    in
-    let objs = pick_objects e objs in
-    if offline then begin
-      let program = (e.Registry.workload ()).Moard_inject.Workload.program in
-      let ctx = lazy (make_ctx e ~optimize:false) in
-      List.iter
-        (fun obj ->
-          let payload, status =
-            match store_dir with
-            | Some dir ->
-              Query.advf (open_store dir) ~options
-                ~ctx:(fun () -> Lazy.force ctx)
-                ~program ~object_name:obj ()
-            | None ->
-              (Query.advf_payload ~options (Lazy.force ctx) ~object_name:obj,
-               Query.Computed)
-          in
-          write_meta meta
-            (offline_header ~op:"advf"
-               ~key:(Key.advf ~program ~object_name:obj ~options)
-               ~status
-               [ ("object", Jsonx.Str obj) ]);
-          print_string payload)
-        objs
-    end
-    else
-      List.iter
-        (fun obj ->
-          let req =
-            Jsonx.Obj
-              ([
-                 ("op", Jsonx.Str "advf");
-                 ("benchmark", Jsonx.Str e.Registry.benchmark);
-                 ("object", Jsonx.Str obj);
-                 ("k", Jsonx.Int options.Model.k);
-                 ("fi_budget", Jsonx.Int options.Model.fi_budget);
-               ]
-              @ model_fields model)
-          in
-          print_string (rpc_payload ~socket req ~meta))
-        objs
-  in
-  let k_arg =
-    Arg.(
-      value & opt int Model.default_options.Model.k
-      & info [ "k" ] ~doc:"Error-propagation window.")
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt int Model.default_options.Model.fi_budget
-      & info [ "fi-budget" ] ~doc:"Max fault-injection runs (-1 unlimited).")
-  in
-  Cmd.v
-    (Cmd.info "advf"
-       ~doc:"Query an aDVF summary (canonical JSON payload on stdout). \
-             Against a daemon the result is served from the store when \
-             warm; $(b,--offline) computes the byte-identical payload \
-             locally.")
-    Term.(
-      const run $ setup_logs $ bench_arg $ objects_arg $ k_arg $ budget_arg
-      $ socket_arg $ offline_flag $ store_dir_arg $ meta_arg $ no_batch_flag
-      $ error_model_arg)
-
-let query_campaign_cmd_with socket_arg =
-  let run () e objs seed confidence ci_width batch max_samples socket offline
-      store_dir meta no_batch model =
-    let objs = pick_objects e objs in
-    if offline then begin
-      let ctx = make_ctx e ~optimize:false in
-      let program = (e.Registry.workload ()).Moard_inject.Workload.program in
-      let plan =
-        campaign_plan ctx e objs ~model ~seed ~confidence ~ci_width ~batch
-          ~max_samples
-      in
-      let payload, status =
-        match store_dir with
-        | Some dir ->
-          let payload, status, _ =
-            Query.campaign (open_store dir) ~batch:(not no_batch)
-              ~journal_meta:[ ("benchmark", e.Registry.benchmark) ]
-              ~ctx:(fun () -> ctx)
-              ~program ~plan ()
-          in
-          (payload, status)
-        | None ->
-          ( Query.campaign_payload
-              (Engine.run ~batch:(not no_batch) ctx plan),
-            Query.Computed )
-      in
-      write_meta meta
-        (offline_header ~op:"campaign"
-           ~key:(Key.campaign ~program ~plan)
-           ~status []);
-      print_string payload
-    end
-    else begin
-      let req =
-        Jsonx.Obj
-          ([
-             ("op", Jsonx.Str "campaign");
-             ("benchmark", Jsonx.Str e.Registry.benchmark);
-             ("objects", Jsonx.Arr (List.map (fun o -> Jsonx.Str o) objs));
-             ("seed", Jsonx.Int seed);
-             ("confidence", Jsonx.Float confidence);
-             ("ci_width", Jsonx.Float ci_width);
-             ("batch", Jsonx.Int batch);
-             ("max_samples", Jsonx.Int max_samples);
-           ]
-          @ model_fields model)
-      in
-      print_string (rpc_payload ~socket req ~meta)
-    end
-  in
-  Cmd.v
-    (Cmd.info "campaign"
-       ~doc:"Query a campaign report (the stable JSON payload on stdout): \
-             run by the daemon and cached by plan hash, or computed \
-             $(b,--offline).")
-    Term.(
-      const run $ setup_logs $ bench_arg $ objects_arg $ seed_arg
-      $ confidence_arg $ ci_width_arg $ batch_arg $ max_samples_arg
-      $ socket_arg $ offline_flag $ store_dir_arg $ meta_arg $ no_batch_flag
-      $ error_model_arg)
+      $ timeout)
 
 (* ---- predict ---- *)
 
@@ -1069,54 +860,39 @@ let predict_target e = function
   | Some t -> t
   | None -> Registry.holdout_size e
 
+let write_file path s =
+  let oc = open_out path in
+  output_string oc s;
+  close_out oc
+
 let predict_cmd =
   let run () e objs sizes target seed confidence ci_width max_samples domains
-      store_dir out json no_batch model =
-    let objs = pick_objects e objs in
+      store_dir out json model =
     let sizes = predict_sizes e sizes in
     let target = predict_target e target in
-    let emit payload =
-      (match out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc payload;
-        close_out oc
-      | None -> ());
-      if json then print_string payload
-    in
+    let store = Option.map open_store store_dir in
     List.iter
       (fun obj ->
-        match store_dir with
-        | Some dir ->
-          let payload, status, p =
-            Query.predict (open_store dir) ~model ~seed ~confidence ~ci_width
-              ~max_samples ~domains ~batch:(not no_batch)
-              ~workload_at:e.Registry.workload_at ~object_name:obj ~sizes
-              ~target ()
-          in
-          Logs.app (fun m ->
-              m "predict %s/%s: %s (store %s)" e.Registry.benchmark obj
-                (Query.status_name status) dir);
-          emit payload;
-          if not json then (
-            match p with
-            | Some p -> Format.printf "%a@." Predict_report.pp p
-            | None ->
-              (* served from the store: only the stable payload exists *)
-              print_string payload)
-        | None ->
-          let sizes = Predict.canonical_sizes sizes in
-          let workloads =
-            List.map (fun n -> (n, e.Registry.workload_at n)) sizes
-          in
-          let p =
-            Predict.run ~model ~seed ~confidence ~ci_width ~max_samples
-              ~domains ~batch:(not no_batch) ~workloads ~object_name:obj
-              ~target ()
-          in
-          emit (Predict_report.stable_json p);
-          if not json then Format.printf "%a@." Predict_report.pp p)
-      objs
+        let _, payload, status, p =
+          Query.predict store ~model ~seed ~confidence ~ci_width ~max_samples
+            ~domains ~workload_at:e.Registry.workload_at ~object_name:obj
+            ~sizes ~target ()
+        in
+        Option.iter
+          (fun dir ->
+            Logs.app (fun m ->
+                m "predict %s/%s: %s (store %s)" e.Registry.benchmark obj
+                  (Query.status_name status) dir))
+          store_dir;
+        Option.iter (fun path -> write_file path payload) out;
+        if json then print_string payload
+        else
+          match p with
+          | Some p -> Format.printf "%a@." Predict_report.pp p
+          | None ->
+            (* served from the store: only the stable payload exists *)
+            print_string payload)
+      (pick_objects e objs)
   in
   Cmd.v
     (Cmd.info "predict"
@@ -1131,105 +907,24 @@ let predict_cmd =
       const run $ setup_logs $ bench_arg $ objects_arg $ sizes_arg
       $ target_arg $ seed_arg $ confidence_arg $ ci_width_arg
       $ max_samples_arg $ domains_arg $ store_dir_arg $ out_arg $ json_flag
-      $ no_batch_flag $ error_model_arg)
-
-let query_predict_cmd_with socket_arg =
-  let run () e objs sizes target seed confidence ci_width max_samples socket
-      offline store_dir meta no_batch model =
-    let objs = pick_objects e objs in
-    let sizes = predict_sizes e sizes in
-    let target = predict_target e target in
-    if offline then
-      List.iter
-        (fun obj ->
-          let sizes = Predict.canonical_sizes sizes in
-          let workloads =
-            List.map (fun n -> (n, e.Registry.workload_at n)) sizes
-          in
-          let programs =
-            List.map
-              (fun (n, w) -> (n, w.Moard_inject.Workload.program))
-              workloads
-          in
-          let key =
-            Key.predict ~programs ~object_name:obj ~model ~seed ~confidence
-              ~ci_width ~max_samples ~target
-          in
-          let payload, status =
-            match store_dir with
-            | Some dir ->
-              let payload, status, _ =
-                Query.predict (open_store dir) ~model ~seed ~confidence
-                  ~ci_width ~max_samples ~batch:(not no_batch)
-                  ~workload_at:e.Registry.workload_at ~object_name:obj ~sizes
-                  ~target ()
-              in
-              (payload, status)
-            | None ->
-              ( Query.predict_payload
-                  (Predict.run ~model ~seed ~confidence ~ci_width ~max_samples
-                     ~batch:(not no_batch) ~workloads ~object_name:obj ~target
-                     ()),
-                Query.Computed )
-          in
-          write_meta meta
-            (offline_header ~op:"predict" ~key ~status
-               [ ("object", Jsonx.Str obj); ("target", Jsonx.Int target) ]);
-          print_string payload)
-        objs
-    else
-      List.iter
-        (fun obj ->
-          let req =
-            Jsonx.Obj
-              ([
-                 ("op", Jsonx.Str "predict");
-                 ("benchmark", Jsonx.Str e.Registry.benchmark);
-                 ("object", Jsonx.Str obj);
-                 ("sizes", Jsonx.Arr (List.map (fun n -> Jsonx.Int n) sizes));
-                 ("target", Jsonx.Int target);
-                 ("seed", Jsonx.Int seed);
-                 ("confidence", Jsonx.Float confidence);
-                 ("ci_width", Jsonx.Float ci_width);
-                 ("max_samples", Jsonx.Int max_samples);
-               ]
-              @ model_fields model)
-          in
-          print_string (rpc_payload ~socket req ~meta))
-        objs
-  in
-  Cmd.v
-    (Cmd.info "predict"
-       ~doc:"Query a cross-input-size prediction (the stable JSON payload \
-             on stdout): computed and cached by the daemon, or \
-             $(b,--offline) with identical bytes.")
-    Term.(
-      const run $ setup_logs $ bench_arg $ objects_arg $ sizes_arg
-      $ target_arg $ seed_arg $ confidence_arg $ ci_width_arg
-      $ max_samples_arg $ socket_arg $ offline_flag $ store_dir_arg $ meta_arg
-      $ no_batch_flag $ error_model_arg)
+      $ error_model_arg)
 
 (* ---- advise ---- *)
 
 let advise_cmd =
   let run () e objs seed confidence ci_width max_samples domains store_dir out
-      json no_batch model =
+      json model =
     let objects = pick_objects e objs in
     let wl = e.Registry.workload () in
     let emit payload =
-      (match out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc payload;
-        close_out oc
-      | None -> ());
+      Option.iter (fun path -> write_file path payload) out;
       if json then print_string payload
     in
     match store_dir with
     | Some dir ->
-      let payload, status =
-        Query.advise (open_store dir) ~model ~seed ~confidence ~ci_width
-          ~max_samples ~domains ~batch:(not no_batch) ~workload:wl ~objects ()
+      let _, payload, status =
+        Query.advise (Some (open_store dir)) ~model ~seed ~confidence
+          ~ci_width ~max_samples ~domains ~workload:wl ~objects ()
       in
       Logs.app (fun m ->
           m "advise %s: %s (store %s)" e.Registry.benchmark
@@ -1239,7 +934,7 @@ let advise_cmd =
     | None ->
       let r =
         Advise.run ~model ~seed ~confidence ~ci_width ~max_samples ~domains
-          ~batch:(not no_batch) ~objects wl
+          ~objects wl
       in
       emit (Advise_report.stable_json r);
       if not json then Format.printf "%a@." Advise_report.pp r
@@ -1259,85 +954,204 @@ let advise_cmd =
     Term.(
       const run $ setup_logs $ bench_arg $ objects_arg $ seed_arg
       $ confidence_arg $ ci_width_arg $ max_samples_arg $ domains_arg
-      $ store_dir_arg $ out_arg $ json_flag $ no_batch_flag
-      $ error_model_arg)
+      $ store_dir_arg $ out_arg $ json_flag $ error_model_arg)
 
-let query_advise_cmd_with socket_arg =
-  let run () e objs seed confidence ci_width max_samples socket offline
-      store_dir meta no_batch model =
-    let objects = pick_objects e objs in
-    if offline then begin
-      let wl = e.Registry.workload () in
-      let key =
-        Key.advise ~program:wl.Moard_inject.Workload.program ~objects ~model
-          ~seed ~confidence ~ci_width ~max_samples
-      in
-      let payload, status =
-        match store_dir with
-        | Some dir ->
-          Query.advise (open_store dir) ~model ~seed ~confidence ~ci_width
-            ~max_samples ~batch:(not no_batch) ~workload:wl ~objects ()
-        | None ->
-          ( Query.advise_payload ~model ~seed ~confidence ~ci_width
-              ~max_samples ~batch:(not no_batch) ~objects wl,
-            Query.Computed )
-      in
-      write_meta meta (offline_header ~op:"advise" ~key ~status []);
-      print_string payload
-    end
-    else
-      let req =
-        Jsonx.Obj
-          ([
-             ("op", Jsonx.Str "advise");
-             ("benchmark", Jsonx.Str e.Registry.benchmark);
-             ( "objects",
-               Jsonx.Arr (List.map (fun o -> Jsonx.Str o) objects) );
-             ("seed", Jsonx.Int seed);
-             ("confidence", Jsonx.Float confidence);
-             ("ci_width", Jsonx.Float ci_width);
-             ("max_samples", Jsonx.Int max_samples);
-           ]
-          @ model_fields model)
-      in
-      print_string (rpc_payload ~socket req ~meta)
+(* ---- query ---- *)
+
+let offline_flag =
+  Arg.(
+    value & flag
+    & info [ "offline" ]
+        ~doc:"Answer the request in-process through the daemon's own op \
+              table instead of asking a daemon (one golden run per \
+              benchmark). With $(b,--store) the local store caches the \
+              result; the printed payload is byte-identical either way.")
+
+let meta_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "meta" ] ~docv:"PATH"
+        ~doc:"Write the response headers here, one JSON line per request \
+              in request order (cache status, key, server; with \
+              $(b,--offline), the daemon's header plus \"offline\": true) \
+              -- the payloads on stdout stay clean for diffing.")
+
+(* Send each request to the server on [socket], or with [offline] answer
+   it through the op table in-process; print each payload. *)
+let run_queries ~socket ~offline ~store_dir ~meta reqs =
+  let answer =
+    if offline then
+      let env = Ops.offline ?store:(Option.map open_store store_dir) () in
+      fun req ->
+        match Ops.answer env req with
+        | Jsonx.Obj fields, payload ->
+          (Jsonx.Obj (fields @ [ ("offline", Jsonx.Bool true) ]), payload)
+        | reply -> reply
+    else fun req -> Client.rpc ~socket req
   in
-  Cmd.v
-    (Cmd.info "advise"
-       ~doc:"Query a resilience-advisor report (the stable JSON payload on \
-             stdout): computed and cached by the daemon, or $(b,--offline) \
-             with identical bytes.")
-    Term.(
-      const run $ setup_logs $ bench_arg $ objects_arg $ seed_arg
-      $ confidence_arg $ ci_width_arg $ max_samples_arg $ socket_arg
-      $ offline_flag $ store_dir_arg $ meta_arg $ no_batch_flag
-      $ error_model_arg)
+  let meta = Option.map open_out meta in
+  Fun.protect
+    ~finally:(fun () -> Option.iter close_out meta)
+    (fun () ->
+      List.iter
+        (fun req ->
+          let header, payload = answer req in
+          (match Client.error_of header with
+          | Some (code, msg) ->
+            failwith
+              (Printf.sprintf "%s: %s: %s"
+                 (if offline then "offline" else "daemon")
+                 code msg)
+          | None -> ());
+          Option.iter
+            (fun oc -> output_string oc (Jsonx.to_string header ^ "\n"))
+            meta;
+          match payload with
+          | Some p -> print_string p
+          | None -> failwith "response carried no payload")
+        reqs)
 
-let query_stat_cmd_with socket_arg =
+(* present only for non-default models, so request bytes (and the keys
+   derived from them) stay identical for single-bit queries *)
+let model_fields model =
+  if model <> Errmodel.Single_bit then
+    [ ("error_model", Jsonx.Str (Errmodel.to_string model)) ]
+  else []
+
+let request op (e : Registry.entry) fields model =
+  Jsonx.Obj
+    ((("op", Jsonx.Str op) :: ("benchmark", Jsonx.Str e.Registry.benchmark)
+     :: fields)
+    @ model_fields model)
+
+let strings l = Jsonx.Arr (List.map (fun s -> Jsonx.Str s) l)
+
+(* Each query subcommand is a term building its requests. The commands
+   are constructors over the socket argument: the same terms serve both
+   [moard query] (daemon socket default) and [moard cluster query] (proxy
+   socket default) -- same bytes either way, which is the point. *)
+let query_cmds socket_arg =
+  let cmd name ~doc requests =
+    let run () reqs socket offline store_dir meta =
+      run_queries ~socket ~offline ~store_dir ~meta reqs
+    in
+    Cmd.v (Cmd.info name ~doc)
+      Term.(
+        const run $ setup_logs $ requests $ socket_arg $ offline_flag
+        $ store_dir_arg $ meta_arg)
+  in
+  let advf e objs k fi_budget model =
+    List.map
+      (fun obj ->
+        request "advf" e
+          [
+            ("object", Jsonx.Str obj);
+            ("k", Jsonx.Int k);
+            ("fi_budget", Jsonx.Int fi_budget);
+          ]
+          model)
+      (pick_objects e objs)
+  in
+  let campaign e objs seed confidence ci_width batch max_samples model =
+    [
+      request "campaign" e
+        [
+          ("objects", strings (pick_objects e objs));
+          ("seed", Jsonx.Int seed);
+          ("confidence", Jsonx.Float confidence);
+          ("ci_width", Jsonx.Float ci_width);
+          ("batch", Jsonx.Int batch);
+          ("max_samples", Jsonx.Int max_samples);
+        ]
+        model;
+    ]
+  in
+  let predict e objs sizes target seed confidence ci_width max_samples model =
+    List.map
+      (fun obj ->
+        request "predict" e
+          [
+            ("object", Jsonx.Str obj);
+            ( "sizes",
+              Jsonx.Arr
+                (List.map (fun n -> Jsonx.Int n) (predict_sizes e sizes)) );
+            ("target", Jsonx.Int (predict_target e target));
+            ("seed", Jsonx.Int seed);
+            ("confidence", Jsonx.Float confidence);
+            ("ci_width", Jsonx.Float ci_width);
+            ("max_samples", Jsonx.Int max_samples);
+          ]
+          model)
+      (pick_objects e objs)
+  in
+  let advise e objs seed confidence ci_width max_samples model =
+    [
+      request "advise" e
+        [
+          ("objects", strings (pick_objects e objs));
+          ("seed", Jsonx.Int seed);
+          ("confidence", Jsonx.Float confidence);
+          ("ci_width", Jsonx.Float ci_width);
+          ("max_samples", Jsonx.Int max_samples);
+        ]
+        model;
+    ]
+  in
+  [
+    cmd "advf"
+      ~doc:"Query an aDVF summary (canonical JSON payload on stdout). \
+            Against a daemon the result is served from the store when \
+            warm; $(b,--offline) computes the byte-identical payload \
+            locally."
+      Term.(
+        const advf $ bench_arg $ objects_arg $ k_arg $ fi_budget_arg
+        $ error_model_arg);
+    cmd "campaign"
+      ~doc:"Query a campaign report (the stable JSON payload on stdout): \
+            run by the daemon and cached by plan hash, or computed \
+            $(b,--offline)."
+      Term.(
+        const campaign $ bench_arg $ objects_arg $ seed_arg $ confidence_arg
+        $ ci_width_arg $ batch_arg $ max_samples_arg $ error_model_arg);
+    cmd "predict"
+      ~doc:"Query a cross-input-size prediction (the stable JSON payload \
+            on stdout): computed and cached by the daemon, or \
+            $(b,--offline) with identical bytes."
+      Term.(
+        const predict $ bench_arg $ objects_arg $ sizes_arg $ target_arg
+        $ seed_arg $ confidence_arg $ ci_width_arg $ max_samples_arg
+        $ error_model_arg);
+    cmd "advise"
+      ~doc:"Query a resilience-advisor report (the stable JSON payload on \
+            stdout): computed and cached by the daemon, or $(b,--offline) \
+            with identical bytes."
+      Term.(
+        const advise $ bench_arg $ objects_arg $ seed_arg $ confidence_arg
+        $ ci_width_arg $ max_samples_arg $ error_model_arg);
+  ]
+
+let stat_cmd socket_arg ~doc =
   let run () socket =
-    let header, _ = Client.rpc ~socket (Jsonx.Obj [ ("op", Jsonx.Str "stat") ]) in
+    let header, _ =
+      Client.rpc ~socket (Jsonx.Obj [ ("op", Jsonx.Str "stat") ])
+    in
     (match Client.error_of header with
     | Some (code, msg) -> failwith (Printf.sprintf "daemon: %s: %s" code msg)
     | None -> ());
     print_endline (Jsonx.to_string header)
   in
-  Cmd.v
-    (Cmd.info "stat"
-       ~doc:"Daemon and store statistics (one JSON object on stdout).")
-    Term.(const run $ setup_logs $ socket_arg)
+  Cmd.v (Cmd.info "stat" ~doc) Term.(const run $ setup_logs $ socket_arg)
+
+let query_stat_doc =
+  "Daemon and store statistics (one JSON object on stdout)."
 
 let query_cmd =
   Cmd.group
     (Cmd.info "query"
        ~doc:"Cached queries against a moardd daemon (or $(b,--offline)): \
              identical bytes either way, so the two modes can be diffed.")
-    [
-      query_advf_cmd_with socket_arg;
-      query_campaign_cmd_with socket_arg;
-      query_predict_cmd_with socket_arg;
-      query_advise_cmd_with socket_arg;
-      query_stat_cmd_with socket_arg;
-    ]
+    (query_cmds socket_arg @ [ stat_cmd socket_arg ~doc:query_stat_doc ])
 
 (* ---- store maintenance ---- *)
 
@@ -1618,22 +1432,11 @@ let cluster_serve_cmd =
       $ timeout)
 
 let cluster_stat_cmd =
-  let run () socket =
-    let header, _ =
-      Client.rpc ~socket (Jsonx.Obj [ ("op", Jsonx.Str "stat") ])
-    in
-    (match Client.error_of header with
-    | Some (code, msg) -> failwith (Printf.sprintf "cluster: %s: %s" code msg)
-    | None -> ());
-    print_endline (Jsonx.to_string header)
-  in
-  Cmd.v
-    (Cmd.info "stat"
-       ~doc:"Cluster statistics (one JSON object on stdout): ring layout, \
-             proxy counters — forwards, coalesced, hedged, hedge wins, \
-             failovers, retries, warming — and each shard's own stat or \
-             its unreachability.")
-    Term.(const run $ setup_logs $ cluster_socket_arg)
+  stat_cmd cluster_socket_arg
+    ~doc:"Cluster statistics (one JSON object on stdout): ring layout, \
+          proxy counters — forwards, coalesced, hedged, hedge wins, \
+          failovers, retries, warming — and each shard's own stat or its \
+          unreachability."
 
 let cluster_warm_cmd =
   let run () socket e objs =
@@ -1741,13 +1544,8 @@ let cluster_cmd =
         (Cmd.info "query"
            ~doc:"The moardd query commands pointed at the cluster proxy: \
                  same protocol, same bytes, sharded serving.")
-        [
-          query_advf_cmd_with cluster_socket_arg;
-          query_campaign_cmd_with cluster_socket_arg;
-          query_predict_cmd_with cluster_socket_arg;
-          query_advise_cmd_with cluster_socket_arg;
-          query_stat_cmd_with cluster_socket_arg;
-        ];
+        (query_cmds cluster_socket_arg
+        @ [ stat_cmd cluster_socket_arg ~doc:query_stat_doc ]);
       cluster_stat_cmd;
       cluster_warm_cmd;
       cluster_chaos_cmd;

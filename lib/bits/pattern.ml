@@ -28,16 +28,6 @@ let pairs ~sep width =
   if sep >= hi then []
   else List.init (hi - sep) (fun i -> Pair (i, sep))
 
-let enumerate ?(multi = []) width =
-  let extra =
-    List.concat_map
-      (function
-        | `Burst len -> bursts ~len width
-        | `Pair sep -> pairs ~sep width)
-      multi
-  in
-  singles width @ extra
-
 let equal (a : t) (b : t) = a = b
 
 let pp ppf = function

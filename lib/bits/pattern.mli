@@ -2,8 +2,8 @@
     data element (paper §III-C).
 
     The default campaign uses all single-bit patterns, matching the paper's
-    evaluation. Multi-bit patterns (spatially contiguous bursts and
-    fixed-separation pairs) implement the §VII-B extension. *)
+    evaluation. The multi-bit error models of {!Errmodel} (the §VII-B
+    extension) sweep bursts. *)
 
 type t =
   | Single of int  (** flip of bit [i] *)
@@ -31,10 +31,6 @@ val bursts : len:int -> Bitval.width -> t list
 
 val pairs : sep:int -> Bitval.width -> t list
 (** All two-bit patterns with fixed spatial separation [sep]. *)
-
-val enumerate : ?multi:[ `Burst of int | `Pair of int ] list ->
-  Bitval.width -> t list
-(** Single-bit patterns plus any requested multi-bit families. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -26,9 +26,7 @@ type stage = Op | Prop | Fi | Cached | Gave_up
    Integer sums are order-independent, so the batched kernel's bulk
    absorption and the scalar per-pattern stream produce bit-identical
    accumulators for every error model — not just the dyadic single-bit
-   case. The float fields serve only the legacy multi-pattern path
-   ([Model.options.multi]), whose ad-hoc pattern counts have no common
-   denominator; the two families never mix in one accumulator. *)
+   case. *)
 type t = {
   object_name : string;
   den : int;
@@ -36,9 +34,6 @@ type t = {
   mutable events_num : int;
   level_num : int array;    (* per level, numerators of fractional masking *)
   kind_num : int array;     (* per kind at operation+propagation levels *)
-  mutable fevents : float;  (* legacy float-weight stream *)
-  flevel : float array;
-  fkind : float array;
   mutable patterns : int;
   mutable op_n : int;
   mutable prop_n : int;
@@ -55,9 +50,6 @@ let create ?(model = Errmodel.Single_bit) object_name =
     events_num = 0;
     level_num = Array.make 3 0;
     kind_num = Array.make 4 0;
-    fevents = 0.0;
-    flevel = Array.make 3 0.0;
-    fkind = Array.make 4 0.0;
     patterns = 0;
     op_n = 0;
     prop_n = 0;
@@ -105,19 +97,6 @@ let add_pattern_set t ~lanes ~stage ~count verdict =
     add_num t ~num:(t.den / lanes * count) verdict
   end
 
-let add_pattern_weight t ~weight ~stage verdict =
-  count_stage t ~stage 1;
-  match (verdict : Verdict.t) with
-  | Verdict.Not_masked -> ()
-  | Verdict.Masked (level, kind) ->
-    t.fevents <- t.fevents +. weight;
-    let li = Verdict.level_index level in
-    t.flevel.(li) <- t.flevel.(li) +. weight;
-    if level <> Verdict.Algorithm then begin
-      let ki = Verdict.kind_index kind in
-      t.fkind.(ki) <- t.fkind.(ki) +. weight
-    end
-
 let absorb t other =
   if not (String.equal t.object_name other.object_name) then
     invalid_arg "Advf.absorb: object names differ";
@@ -128,9 +107,6 @@ let absorb t other =
     other.level_num;
   Array.iteri (fun i s -> t.kind_num.(i) <- t.kind_num.(i) + s)
     other.kind_num;
-  t.fevents <- t.fevents +. other.fevents;
-  Array.iteri (fun i s -> t.flevel.(i) <- t.flevel.(i) +. s) other.flevel;
-  Array.iteri (fun i s -> t.fkind.(i) <- t.fkind.(i) +. s) other.fkind;
   t.patterns <- t.patterns + other.patterns;
   t.op_n <- t.op_n + other.op_n;
   t.prop_n <- t.prop_n + other.prop_n;
@@ -143,16 +119,15 @@ let report t ~fi_runs ~fi_cache_hits =
   let den = float_of_int t.den in
   (* For single-bit accumulation [num /. den] is an exact dyadic division,
      so the totals are bit-identical to the historical float stream. *)
-  let events num f = (float_of_int num /. den) +. f in
-  let total = events t.events_num t.fevents in
+  let events num = float_of_int num /. den in
+  let total = events t.events_num in
   {
     object_name = t.object_name;
     involvements = t.involvements;
     masking_events = total;
     advf = total /. m;
-    by_level =
-      Array.init 3 (fun i -> events t.level_num.(i) t.flevel.(i) /. m);
-    by_kind = Array.init 4 (fun i -> events t.kind_num.(i) t.fkind.(i) /. m);
+    by_level = Array.init 3 (fun i -> events t.level_num.(i) /. m);
+    by_kind = Array.init 4 (fun i -> events t.kind_num.(i) /. m);
     patterns_analyzed = t.patterns;
     op_resolved = t.op_n;
     prop_resolved = t.prop_n;

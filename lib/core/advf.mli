@@ -59,14 +59,6 @@ val add_pattern_set : t -> lanes:int -> stage:stage -> count:int ->
     calls of {!add_pattern} by construction (integer numerators).
     @raise Invalid_argument on a negative count or non-dividing [lanes]. *)
 
-val add_pattern_weight :
-  t -> weight:float -> stage:stage -> Moard_analysis.Verdict.t -> unit
-(** Legacy float-weight stream for the ad-hoc multi-pattern path
-    ([Model.options.multi]), whose pattern counts have no common
-    denominator. Must not be mixed with the exact stream in one
-    accumulator (the model path and the multi path are mutually
-    exclusive upstream). *)
-
 val absorb : t -> t -> unit
 (** [absorb t other] folds [other]'s accumulated state into [t] — the
     online counterpart of {!merge}: verdict streams accumulated separately

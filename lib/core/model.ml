@@ -17,7 +17,6 @@ type options = {
   shadow_cap : int;
   fi_budget : int;
   use_cache : bool;
-  multi : [ `Burst of int | `Pair of int ] list;
   batch : bool;
   model : Errmodel.t;
 }
@@ -28,7 +27,6 @@ let default_options =
     shadow_cap = 256;
     fi_budget = -1;
     use_cache = true;
-    multi = [];
     batch = true;
     model = Errmodel.Single_bit;
   }
@@ -61,10 +59,6 @@ let init_of_changed (out : Masking.changed_out) =
     Propagation.From_mem { addr; value; ty }
 
 let analyze ?(options = default_options) ?site_filter ?cancel ctx ~object_name =
-  if options.multi <> [] && options.model <> Errmodel.Single_bit then
-    invalid_arg
-      "Model.analyze: legacy multi pattern families require the single-bit \
-       error model";
   let model = options.model in
   let tape = Context.tape ctx in
   let w = Context.workload ctx in
@@ -156,17 +150,8 @@ let analyze ?(options = default_options) ?site_filter ?cancel ctx ~object_name =
      accumulator online — neither a site list nor a verdict list is ever
      materialized. [site_filter] sees each site's enumeration index. *)
   let scalar_patterns site =
-    let patterns, add =
-      match options.multi with
-      | [] ->
-        let patterns = Errmodel.patterns model site.Consume.width in
-        let lanes = List.length patterns in
-        (patterns, fun ~stage v -> Advf.add_pattern acc ~lanes ~stage v)
-      | multi ->
-        let patterns = Pattern.enumerate ~multi site.Consume.width in
-        let weight = 1.0 /. float_of_int (List.length patterns) in
-        (patterns, fun ~stage v -> Advf.add_pattern_weight acc ~weight ~stage v)
-    in
+    let patterns = Errmodel.patterns model site.Consume.width in
+    let lanes = List.length patterns in
     List.iter
       (fun pattern ->
         let verdict, stage =
@@ -180,7 +165,7 @@ let analyze ?(options = default_options) ?site_filter ?cancel ctx ~object_name =
               Hashtbl.replace vcache key (v, s);
               (v, s)
         in
-        add ~stage verdict)
+        Advf.add_pattern acc ~lanes ~stage verdict)
       patterns
   in
   (* Mirror [resolve]'s read-modify-write delegation once per site — the
@@ -267,7 +252,7 @@ let analyze ?(options = default_options) ?site_filter ?cancel ctx ~object_name =
        stops here instead of sweeping the remaining sites *)
     (match cancel with Some c -> Moard_chaos.Cancel.check c | None -> ());
     Advf.add_involvement acc;
-    if options.batch && options.multi = [] then batched_patterns site
+    if options.batch then batched_patterns site
     else scalar_patterns site
   in
   Consume.iter_sites ~segment:(Context.segment ctx)

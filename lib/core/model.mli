@@ -17,20 +17,16 @@ type options = {
   shadow_cap : int;     (** contamination-set size that aborts the replay *)
   fi_budget : int;      (** max fault-injection executions; -1 = unlimited *)
   use_cache : bool;     (** error-equivalence memoization *)
-  multi : [ `Burst of int | `Pair of int ] list;
-      (** extra multi-bit pattern families (§VII-B); default none *)
   batch : bool;
       (** classify each site's whole error-model pattern set through the
           lane-parallel kernel ({!Moard_analysis.Masking.analyze_all}) and absorb the
           masked/crash sets by popcount, walking only changed/divergent
           lanes through propagation and fault injection. Reports are
           byte-identical to the scalar walk (the differential suite checks
-          this); only wall-clock changes. Ignored — the scalar walk is
-          used — when [multi] is non-empty. *)
+          this); only wall-clock changes. *)
   model : Moard_bits.Errmodel.t;
       (** the error model whose pattern set is swept per involvement;
-          default [Single_bit]. Any model other than [Single_bit] is
-          incompatible with [multi] ({!analyze} rejects the combination). *)
+          default [Single_bit] *)
 }
 
 val default_options : options

@@ -1,10 +1,12 @@
 (** [moardd]: the concurrent MOARD analysis daemon.
 
-    Listens on a Unix socket speaking {!Protocol}, schedules [advf] /
-    [campaign] / [report] requests onto a bounded {!Pool} of OCaml 5
-    domains, and serves results out of a content-addressed {!Moard_store}
-    — so every query is computed at most once per store, and repeated
-    queries are cache hits at memory speed.
+    Listens on a Unix socket speaking {!Protocol}, schedules compute
+    requests onto a bounded {!Pool} of OCaml 5 domains, and serves
+    results out of a content-addressed {!Moard_store} — so every query is
+    computed at most once per store, and repeated queries are cache hits
+    at memory speed. What a request means — its fields, defaults, store
+    key and header — is {!Ops}'s: a worker answers it with
+    {!Ops.answer}, exactly as [query --offline] does in-process.
 
     Concurrency shape: one golden-run {!Moard_inject.Context} per program,
     created once (single-flight) and shared; each worker analyzes on a
@@ -53,11 +55,6 @@ type config = {
   timeout_s : float;     (** per-request timeout *)
   lru_entries : int;
   lru_bytes : int;
-  batch : bool;
-      (** resolve injections through the bit-parallel masking kernel
-          (default); served payloads are byte-identical either way, so
-          this is a daemon-wide performance switch, never a request
-          parameter or a store-key component *)
   shims : Moard_chaos.Chaos.shims;
       (** effects implementations for store/journal/socket/job I/O;
           {!Moard_chaos.Chaos.passthrough} in production *)
@@ -66,8 +63,7 @@ type config = {
 val default_config : config
 (** socket ["moardd.sock"], store [".moard-store"], workers =
     [Domain.recommended_domain_count () - 1] (min 1), queue [64],
-    timeout [300s], LRU [256] entries / [64 MiB], batch on, passthrough
-    shims. *)
+    timeout [300s], LRU [256] entries / [64 MiB], passthrough shims. *)
 
 type t
 

@@ -4,20 +4,6 @@ module Monotime = Moard_chaos.Monotime
 
 type reply = Jsonx.t * string option
 
-exception Bad_request of string
-
-let field_str req name =
-  match Jsonx.str (Jsonx.member name req) with
-  | Some s -> s
-  | None -> raise (Bad_request (Printf.sprintf "missing string field %S" name))
-
-let entry_of req =
-  let benchmark = field_str req "benchmark" in
-  match Registry.find benchmark with
-  | e -> e
-  | exception Not_found ->
-    raise (Bad_request (Printf.sprintf "unknown benchmark %S" benchmark))
-
 (* Two requests are the same work iff their canonical signatures match:
    top-level fields sorted, transport decoration (proto, checksum)
    stripped.  The same string doubles as the integrity-checksum input
@@ -145,10 +131,10 @@ let enqueue_warm t item =
    otherwise idle, so warming never competes with a live request. *)
 let warm t req =
   match
-    let e = entry_of req in
-    (e, field_str req "object")
+    let e = Ops.entry_of req in
+    (e, Ops.field_str req "object")
   with
-  | exception Bad_request msg ->
+  | exception Ops.Bad_request msg ->
     (Protocol.error ~code:"bad-request" ~message:msg, None)
   | e, object_name ->
     let fresh = enqueue_warm t (t.hooks.warm_item e object_name req) in
@@ -264,9 +250,7 @@ let dispatch t ?fd ?deadline_s req =
             ]),
         None )
     | Some "stat" -> (t.hooks.stat t, None)
-    | Some
-        (("warm" | "advf" | "campaign" | "report" | "predict" | "advise") as op)
-      -> (
+    | Some op when op = "warm" || List.mem op Ops.names -> (
       match integrity_error req with
       | Some e ->
         locked t (fun () -> t.c.refused <- t.c.refused + 1);

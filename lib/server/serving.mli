@@ -1,8 +1,9 @@
 (** The serving core shared by {!Daemon} and the cluster proxy.
 
     Both servers speak {!Protocol} on a Unix socket and differ only in
-    how they answer a compute op: the daemon runs it on its pool, the
-    proxy forwards it to a shard. Everything else is written once here:
+    how they answer a compute op ({!Ops.names}): the daemon runs it
+    through {!Ops.answer} on its pool, the proxy forwards it to a shard.
+    Everything else is written once here:
 
     - {e the listener}: bind over a stale socket file, the accept loop,
       one thread per connection (select tick, recv, dispatch, send), a
@@ -26,15 +27,6 @@
 
 type reply = Jsonx.t * string option
 (** A response header and its optional payload frame. *)
-
-exception Bad_request of string
-(** A request the server cannot interpret; answered as [bad-request]. *)
-
-val field_str : Jsonx.t -> string -> string
-(** A required string field. @raise Bad_request if absent. *)
-
-val entry_of : Jsonx.t -> Moard_kernels.Registry.entry
-(** The request's ["benchmark"]. @raise Bad_request if absent or unknown. *)
 
 val signature : Jsonx.t -> string
 (** The canonical signature: {!Jsonx.signature} without the transport

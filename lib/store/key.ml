@@ -21,32 +21,19 @@ let of_parts parts =
 
 let program_hash p = Record.fnv1a64_hex (Moard_ir.Text.to_string p)
 
-(* The pattern family must canonicalize: [`Burst 2; `Pair 8] and
-   [`Pair 8; `Burst 2] describe the same analysis. *)
-let multi_part multi =
-  let tags =
-    List.map
-      (function
-        | `Burst n -> Printf.sprintf "burst%d" n
-        | `Pair n -> Printf.sprintf "pair%d" n)
-      multi
-  in
-  String.concat "+" ("single" :: List.sort compare tags)
-
 let advf ~program ~object_name ~(options : Model.options) =
   of_parts
     [
       ("query", "advf");
       ("program", program_hash program);
       ("object", object_name);
-      (* The single-bit rendering ("single", possibly with legacy multi
-         families) predates error models and must keep producing the same
-         key, so existing store entries still resolve; non-default models
-         use their canonical name (they reject [multi] upstream). *)
+      (* The single-bit rendering "single" predates error models and must
+         keep producing the same key, so existing store entries still
+         resolve; other models use their canonical name. *)
       ( "pattern",
         if options.Model.model <> Moard_bits.Errmodel.Single_bit then
           Moard_bits.Errmodel.to_string options.Model.model
-        else multi_part options.Model.multi );
+        else "single" );
       ("k", string_of_int options.Model.k);
       ("shadow_cap", string_of_int options.Model.shadow_cap);
       ("fi_budget", string_of_int options.Model.fi_budget);

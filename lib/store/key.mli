@@ -31,8 +31,8 @@ val advf :
   object_name:string ->
   options:Moard_core.Model.options ->
   t
-(** Key of an aDVF summary: program, object, error-pattern family
-    ([options.multi]) and the model parameters that shape the result
+(** Key of an aDVF summary: program, object, error model
+    ([options.model]) and the model parameters that shape the result
     (k, shadow_cap, fi_budget, use_cache). *)
 
 val campaign : program:Moard_ir.Program.t -> plan:Moard_campaign.Plan.t -> t

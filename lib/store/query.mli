@@ -1,5 +1,10 @@
 (** Cached MOARD queries: get-or-compute over the {!Store}.
 
+    Each query takes an optional store: with one, a hit is served and a
+    miss (or a corrupt entry) is computed and stored; without one, the
+    payload is computed and reported [Computed]. Each returns the store
+    key it answered under, derived once.
+
     Every payload here is a canonical byte-stable string (see
     {!Moard_report.Advf_report} and
     {!Moard_report.Campaign_report.stable_json}), and every compute path
@@ -10,7 +15,7 @@
 type status =
   | Memory_hit   (** served from the LRU *)
   | Disk_hit     (** served from a verified disk record *)
-  | Computed     (** cold: computed and stored *)
+  | Computed     (** cold: computed (and stored, given a store) *)
   | Recomputed   (** a corrupt entry was detected, recomputed and healed *)
 
 val status_name : status -> string
@@ -26,16 +31,17 @@ val advf_payload :
     single-domain analysis on a fresh shard of the context. *)
 
 val advf :
-  Store.t ->
+  Store.t option ->
   ?options:Moard_core.Model.options ->
   ?cancel:Moard_chaos.Cancel.t ->
   ctx:(unit -> Moard_inject.Context.t) ->
   program:Moard_ir.Program.t ->
   object_name:string ->
   unit ->
-  string * status
-(** Get-or-compute an aDVF summary. [ctx] is only forced on a miss, so a
-    warm query never touches the golden run. A tripped [cancel] raises
+  Key.t * string * status
+(** Get-or-compute an aDVF summary; returns its key, payload and status.
+    [ctx] is only forced on a miss, so a warm query never touches the
+    golden run. A tripped [cancel] raises
     {!Moard_chaos.Cancel.Cancelled} out of the compute path before
     anything is stored. *)
 
@@ -43,10 +49,12 @@ val campaign_payload : Moard_campaign.Engine.result -> string
 (** The canonical campaign payload ({!Moard_report.Campaign_report}'s
     stable JSON — the perf section is never stored). *)
 
+val interrupted : Moard_campaign.Engine.result -> bool
+(** Some object stopped at the drain hook or the cancel token. *)
+
 val campaign :
-  Store.t ->
+  Store.t option ->
   ?domains:int ->
-  ?batch:bool ->
   ?should_stop:(unit -> bool) ->
   ?cancel:Moard_chaos.Cancel.t ->
   ?fx:Moard_chaos.Fx.t ->
@@ -55,87 +63,71 @@ val campaign :
   program:Moard_ir.Program.t ->
   plan:Moard_campaign.Plan.t ->
   unit ->
-  string * status * Moard_campaign.Engine.result option
+  Key.t * string * status * Moard_campaign.Engine.result option
 (** Get-or-compute a campaign report. A miss runs the engine with a
     journal under {!Store.journal_dir}; if that journal already exists
     (an earlier run died or was drained mid-campaign) the engine resumes
     from it instead of starting over. A completed result is stored and
     its journal removed; an interrupted one (the [should_stop] drain
     hook or the [cancel] token fired) is returned un-stored with its
-    journal left in place for the next attempt. The result is [None]
-    exactly when the payload came from the store. [batch] is forwarded
-    to the engine's bit-parallel kernel switch; the payload bytes are
-    identical either way, which is why neither it nor [domains] is part
-    of the store key. [fx] routes the engine's journal I/O. *)
+    journal left in place for the next attempt. Without a store the
+    engine runs without a journal. The result is [None] exactly when the
+    payload came from the store. [domains] is not part of the key: the
+    payload bytes are identical for any value. [fx] routes the engine's
+    journal I/O. *)
 
 val predict_payload : Moard_predict.Predict.t -> string
 (** The canonical prediction payload
     ({!Moard_report.Predict_report.stable_json}). *)
 
 val predict :
-  Store.t ->
+  Store.t option ->
   ?model:Moard_bits.Errmodel.t ->
   ?seed:int ->
   ?confidence:float ->
   ?ci_width:float ->
   ?max_samples:int ->
   ?domains:int ->
-  ?batch:bool ->
   ?cancel:Moard_chaos.Cancel.t ->
   workload_at:(int -> Moard_inject.Workload.t) ->
   object_name:string ->
   sizes:int list ->
   target:int ->
   unit ->
-  string * status * Moard_predict.Predict.t option
+  Key.t * string * status * Moard_predict.Predict.t option
 (** Get-or-compute a cross-input-size prediction
     ({!Moard_predict.Predict.run}). [sizes] is canonicalized (sorted,
     deduplicated) before keying, and [workload_at] is forced once per
-    canonical size to derive the training programs the key hashes — so a
-    warm query builds workloads but never executes them. Neither
-    [domains] nor [batch] joins the key (they change no payload byte).
-    The result is [None] exactly when the payload came from the store.
-    Refusals ({!Moard_predict.Predict.Refused}) and cancellation
-    propagate before anything is stored.
-    Defaults match {!Moard_predict.Predict.run}. *)
-
-val advise_payload :
-  ?model:Moard_bits.Errmodel.t ->
-  ?seed:int ->
-  ?confidence:float ->
-  ?ci_width:float ->
-  ?max_samples:int ->
-  ?domains:int ->
-  ?batch:bool ->
-  ?cancel:Moard_chaos.Cancel.t ->
-  ?objects:string list ->
-  Moard_inject.Workload.t ->
-  string
-(** The canonical advisor payload
-    ({!Moard_report.Advise_report.stable_json}): rank, protect, measure
-    — computed directly, no store. Deterministic per (workload,
-    parameters); neither [domains] nor [batch] changes a byte. *)
+    canonical size; the same workloads give the key its training
+    programs and, on a miss, are what the campaigns run — so a warm
+    query builds workloads but never executes them. [domains] does not
+    join the key (it changes no payload byte). The result is [None]
+    exactly when the payload came from the store. Refusals
+    ({!Moard_predict.Predict.Refused}) and cancellation propagate before
+    anything is stored. Defaults match {!Moard_predict.Predict.run}. *)
 
 val advise :
-  Store.t ->
+  Store.t option ->
   ?model:Moard_bits.Errmodel.t ->
   ?seed:int ->
   ?confidence:float ->
   ?ci_width:float ->
   ?max_samples:int ->
   ?domains:int ->
-  ?batch:bool ->
   ?cancel:Moard_chaos.Cancel.t ->
   workload:Moard_inject.Workload.t ->
   objects:string list ->
   unit ->
-  string * status
-(** Get-or-compute a resilience-advisor report. [objects] = [[]] means
-    the workload's target objects (resolved before keying, so the two
-    spellings share one entry). The protected-variant campaigns run
-    without journals — each is a fresh in-memory campaign; the advise
-    payload as a whole is the cached unit. A tripped [cancel] raises
-    out of the compute path before anything is stored. *)
+  Key.t * string * status
+(** Get-or-compute a resilience-advisor report: the stable JSON
+    ({!Moard_report.Advise_report.stable_json}) of
+    {!Moard_advise.Advise.run}, in which [domains] changes no byte.
+    [objects] = [[]] means the workload's target objects (resolved
+    before keying, so the two spellings share one entry). The
+    protected-variant campaigns run without journals — each is a fresh
+    in-memory campaign; the advise payload as a whole is the cached
+    unit. A tripped [cancel] raises out of the compute path before
+    anything is stored. *)
 
 val tape_payload : Moard_inject.Context.t -> string
 (** The packed golden tape, marshalled. *)

@@ -220,7 +220,12 @@ let store_tests =
         with_store (fun dir ->
             let w = Registry.(find "MM").Registry.workload () in
             let st = Store.open_store ~dir () in
-            let query () = Query.advise st ~workload:w ~objects:[ "C" ] () in
+            let query () =
+              let _, p, s =
+                Query.advise (Some st) ~workload:w ~objects:[ "C" ] ()
+              in
+              (p, s)
+            in
             let p1, s1 = query () in
             Alcotest.(check string)
               "cold compute" "computed" (Query.status_name s1);
@@ -230,7 +235,7 @@ let store_tests =
             Alcotest.(check string) "identical bytes" p1 p2;
             (* the explicit object list and the default spell the same
                key: MM's only target is C *)
-            let p3, _ = Query.advise st ~workload:w ~objects:[] () in
+            let _, p3, _ = Query.advise (Some st) ~workload:w ~objects:[] () in
             Alcotest.(check string) "default objects, same entry" p1 p3));
   ]
 

@@ -305,25 +305,6 @@ let model_tests =
                 (report_str s) (report_str b))
             [ true; false ]))
     Errmodel.all
-  @ [
-    Alcotest.test_case "model: multi-bit patterns force the scalar walk"
-      `Quick (fun () ->
-        let ctx = Context.make (workload ()) in
-        let opts batch =
-          { Model.default_options with Model.multi = [ `Burst 2 ]; batch }
-        in
-        (* batch is documented as ignored when multi is non-empty: the two
-           runs must take the identical (scalar) path *)
-        let b =
-          Model.analyze ~options:(opts true) (Context.shard ctx)
-            ~object_name:"a"
-        in
-        let s =
-          Model.analyze ~options:(opts false) (Context.shard ctx)
-            ~object_name:"a"
-        in
-        Alcotest.(check string) "multi report" (report_str s) (report_str b));
-  ]
 
 module Plan = Moard_campaign.Plan
 module Engine = Moard_campaign.Engine

@@ -96,11 +96,6 @@ let pattern_unit =
     Alcotest.test_case "pair flips two bits" `Quick (fun () ->
         let v = Pattern.apply (Pattern.Pair (0, 8)) (B.zero B.W64) in
         check (Alcotest.int64) "0x101" 0x101L (v : B.t).bits);
-    Alcotest.test_case "enumerate adds multi families" `Quick (fun () ->
-        let ps =
-          Pattern.enumerate ~multi:[ `Burst 2; `Pair 4 ] B.W32
-        in
-        check tint "32 + 31 + 28" 91 (List.length ps));
     Alcotest.test_case "apply out of width raises" `Quick (fun () ->
         Alcotest.check_raises "bit 40 of w32"
           (Invalid_argument "Bitval.flip_bit") (fun () ->

@@ -168,27 +168,10 @@ let agreement_tests =
         assert (Moard_stats.Rank.kendall_tau advfs exs > 0.3));
   ]
 
-let multi_bit_tests =
-  [
-    Alcotest.test_case "multi-bit pattern families are analyzable" `Quick
-      (fun () ->
-        let ctx = Context.make (synthetic ()) in
-        let r =
-          Model.analyze
-            ~options:
-              { Model.default_options with multi = [ `Burst 2; `Pair 8 ] }
-            ctx ~object_name:"a"
-        in
-        assert (r.Advf.advf >= 0.0 && r.Advf.advf <= 1.0);
-        (* store overwrites mask any pattern, so a stays highly resilient *)
-        assert (r.Advf.advf > 0.8));
-  ]
-
 let suite =
   [
     ("model.invariants", invariant_tests);
     ("model.determinism", determinism_tests);
     ("model.budget", budget_tests);
     ("model.agreement", agreement_tests);
-    ("model.multi-bit", multi_bit_tests);
   ]

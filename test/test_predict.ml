@@ -471,8 +471,11 @@ let store_tests =
         with_store (fun dir ->
             let e = Registry.find "MM" in
             let query store =
-              Query.predict store ~workload_at:e.Registry.workload_at
-                ~object_name:"C" ~sizes:[ 5; 4 ] ~target:6 ()
+              let _, p, s, r =
+                Query.predict (Some store) ~workload_at:e.Registry.workload_at
+                  ~object_name:"C" ~sizes:[ 5; 4 ] ~target:6 ()
+              in
+              (p, s, r)
             in
             let st = Store.open_store ~dir () in
             let p1, s1, r1 = query st in
@@ -491,8 +494,8 @@ let store_tests =
             Alcotest.(check string) "disk bytes" p1 p3;
             (* the key canonicalizes sizes: a permutation is the same
                query *)
-            let p4, s4, _ =
-              Query.predict st ~workload_at:e.Registry.workload_at
+            let _, p4, s4, _ =
+              Query.predict (Some st) ~workload_at:e.Registry.workload_at
                 ~object_name:"C" ~sizes:[ 4; 5 ] ~target:6 ()
             in
             Alcotest.(check string)

@@ -312,6 +312,14 @@ let store_tests =
 (* ---------------------------------------------------------------- *)
 (* Query: get-or-compute, byte identity, corruption recompute *)
 
+(* The payload and status of an advf query; its key is checked in the
+   corruption test below. *)
+let advf_query s =
+  let _, p, st =
+    Query.advf (Some s) ~ctx ~program:(program ()) ~object_name:obj ()
+  in
+  (p, st)
+
 let query_tests =
   [
     Alcotest.test_case "advf query: computed once, then served, always the \
@@ -319,9 +327,7 @@ let query_tests =
         let dir = tmp_store_dir () in
         let s = Store.open_store ~dir () in
         let direct = Query.advf_payload (ctx ()) ~object_name:obj in
-        let q () =
-          Query.advf s ~ctx ~program:(program ()) ~object_name:obj ()
-        in
+        let q () = advf_query s in
         let p1, st1 = q () in
         Alcotest.(check bool) "cold: computed" true (st1 = Query.Computed);
         Alcotest.(check string) "equals a direct computation" direct p1;
@@ -329,9 +335,7 @@ let query_tests =
         Alcotest.(check bool) "warm: memory hit" true (st2 = Query.Memory_hit);
         Alcotest.(check string) "identical bytes" p1 p2;
         let s2 = Store.open_store ~dir () in
-        let p3, st3 =
-          Query.advf s2 ~ctx ~program:(program ()) ~object_name:obj ()
-        in
+        let p3, st3 = advf_query s2 in
         Alcotest.(check bool) "fresh handle: disk hit" true
           (st3 = Query.Disk_hit);
         Alcotest.(check string) "identical bytes from disk" p1 p3);
@@ -339,25 +343,23 @@ let query_tests =
       `Quick (fun () ->
         let dir = tmp_store_dir () in
         let s = Store.open_store ~dir () in
-        let p1, _ =
-          Query.advf s ~ctx ~program:(program ()) ~object_name:obj ()
+        let key1, p1, _ =
+          Query.advf (Some s) ~ctx ~program:(program ()) ~object_name:obj ()
         in
         let key =
           Key.advf ~program:(program ()) ~object_name:obj
             ~options:Model.default_options
         in
+        Alcotest.(check string) "answered under its key" (Key.to_hex key)
+          (Key.to_hex key1);
         let path = entry_path dir key in
         flip_byte path (Record.header_bytes + 3);
         let s2 = Store.open_store ~dir () in
-        let p2, st =
-          Query.advf s2 ~ctx ~program:(program ()) ~object_name:obj ()
-        in
+        let p2, st = advf_query s2 in
         Alcotest.(check bool) "recomputed (healing)" true
           (st = Query.Recomputed);
         Alcotest.(check string) "identical bytes after healing" p1 p2;
-        let p3, st3 =
-          Query.advf s2 ~ctx ~program:(program ()) ~object_name:obj ()
-        in
+        let p3, st3 = advf_query s2 in
         Alcotest.(check bool) "healed entry serves again" true
           (Query.is_hit st3);
         Alcotest.(check string) "same bytes" p1 p3);
@@ -371,8 +373,8 @@ let query_tests =
         (* drain immediately: the engine must stop at the first batch
            boundary, leave its journal, and the result must not be
            stored *)
-        let payload_i, st_i, r_i =
-          Query.campaign s ~should_stop:(fun () -> true)
+        let _, payload_i, st_i, r_i =
+          Query.campaign (Some s) ~should_stop:(fun () -> true)
             ~ctx:(fun () -> c)
             ~program:p ~plan ()
         in
@@ -396,8 +398,8 @@ let query_tests =
         Alcotest.(check bool) "journal left for resume" true
           (Sys.file_exists journal);
         (* next attempt resumes the journal and completes *)
-        let payload, st, r =
-          Query.campaign s ~ctx:(fun () -> c) ~program:p ~plan ()
+        let _, payload, st, r =
+          Query.campaign (Some s) ~ctx:(fun () -> c) ~program:p ~plan ()
         in
         Alcotest.(check bool) "completed: computed" true (st = Query.Computed);
         (match r with
@@ -412,8 +414,8 @@ let query_tests =
         Alcotest.(check string) "identical to an uninterrupted run" direct
           payload;
         (* and now it serves from the store, with no engine result *)
-        let payload2, st2, r2 =
-          Query.campaign s ~ctx:(fun () -> c) ~program:p ~plan ()
+        let _, payload2, st2, r2 =
+          Query.campaign (Some s) ~ctx:(fun () -> c) ~program:p ~plan ()
         in
         Alcotest.(check bool) "served" true (Query.is_hit st2);
         Alcotest.(check bool) "no recomputation" true (r2 = None);
