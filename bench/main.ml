@@ -528,21 +528,16 @@ let pipeline () =
   let reduction = float_of_int boxed /. float_of_int packed in
   note "tape footprint: %d bytes packed vs %d boxed (%.2fx reduction)" packed
     boxed reduction;
-  (* Domain scaling over the one frozen tape. Each measurement analyzes on
-     a fresh context shard, with the error-equivalence cache off: cached
-     verdict reuse is partition-dependent (the equivalence key is a
-     heuristic), so only the uncached analysis is bit-identical across
-     domain counts. *)
+  (* Domain scaling over the one frozen tape, each measurement on a fresh
+     context shard. *)
   let host_cores = host_cores () in
   let domain_counts = scaling_domains () in
-  let options = { Model.default_options with use_cache = false } in
   let runs =
     List.map
       (fun d ->
         let t = Unix.gettimeofday () in
         let r =
-          Moard_parallel.Parallel_model.analyze_ctx ~options ~domains:d
-            (Context.shard ctx) ~object_name:obj
+          Model.analyze ~domains:d (Context.shard ctx) ~object_name:obj
         in
         let s = Unix.gettimeofday () -. t in
         note "analyze %s/%s on %d domain(s): %.3fs (aDVF %.6f)"
@@ -551,15 +546,13 @@ let pipeline () =
       domain_counts
   in
   let _, t1, r1 = List.hd runs in
-  let identical =
-    List.for_all (fun (_, _, r) -> r.Advf.advf = r1.Advf.advf) runs
-  in
+  let identical = List.for_all (fun (_, _, r) -> r = r1) runs in
   let goldens = Context.golden_executions () - g0 in
   Printf.printf
     "\n\
      golden executions for the whole pipeline: %d (shared by tracing, \n\
      site enumeration and all %d analysis configurations)\n\
-     aDVF bit-identical across domain counts: %b\n"
+     report bit-identical across domain counts: %b\n"
     goldens (List.length runs) identical;
   List.iter
     (fun (d, s, _) ->
@@ -571,7 +564,7 @@ let pipeline () =
        synchronization overhead, not speedup)\n"
       host_cores;
   if goldens <> 1 then failwith "pipeline: golden run executed more than once";
-  if not identical then failwith "pipeline: aDVF drifted across domains";
+  if not identical then failwith "pipeline: report drifted across domains";
   if !quick then note "quick mode: not writing BENCH_pipeline.json"
   else begin
     let oc = open_out "BENCH_pipeline.json" in
@@ -586,11 +579,11 @@ let pipeline () =
       \  \"boxed_bytes_estimate\": %d,\n\
       \  \"packing_reduction\": %.3f,\n\
       \  \"golden_executions\": %d,\n\
-      \  \"use_cache\": false,\n\
+      \  \"use_cache\": true,\n\
       \  \"host_cores\": %d,\n\
       \  \"advf\": \"%h\",\n\
       \  \"advf_decimal\": %.17g,\n\
-      \  \"advf_bit_identical_across_domains\": %b,\n"
+      \  \"report_bit_identical_across_domains\": %b,\n"
       e.Registry.benchmark obj events !trace_s events_per_sec packed boxed
       reduction goldens host_cores r1.Advf.advf r1.Advf.advf identical;
     emit_domains_json oc ~key:"domains" ~t1
@@ -696,13 +689,14 @@ let campaign () =
       \  \"stopped\": %S,\n\
       \  \"ci_covers_exhaustive\": %b,\n\
       \  \"injection_savings\": %.3f,\n\
-      \  \"report_bit_identical_across_domains\": %b,\n"
+      \  \"report_bit_identical_across_domains\": %b,\n\
+      \  \"host_cores\": %d,\n"
       bench obj plan.Plan.seed ci_width o.Engine.population exact exact
       truth.Moard_inject.Exhaustive.injections sweep_s o.Engine.samples
       o.Engine.runs o.Engine.cache_hits o.Engine.estimate o.Engine.estimate
       o.Engine.lo o.Engine.hi o.Engine.lo o.Engine.hi
       (Engine.stop_reason_name o.Engine.stopped)
-      covered savings identical;
+      covered savings identical (host_cores ());
     emit_domains_json oc ~key:"domains" ~t1
       (List.map (fun (d, s, _) -> (d, s)) runs);
     Printf.fprintf oc "}\n";
@@ -1152,9 +1146,10 @@ let kernel_bench () =
           (Printf.sprintf "kernel: batched sweep %.1fx on %s/%s (want %.0fx)"
              speedup bench obj floor))
     rows;
-  (* campaign engine across requested domain counts, kernel on: capping at
-     the host's recommended count means oversubscription degrades to the
-     sequential schedule instead of a slower convoy. On a single-core host
+  (* campaign engine across requested domain counts, kernel on: clamping
+     each count to the host ([Exec.cap_domains], as the CLI does) means
+     oversubscription degrades to a smaller pool instead of a slower
+     convoy. On a single-core host
      every count degrades to the sequential schedule, so the scaling table
      would only measure noise — skip it and annotate the JSON instead. *)
   let bench, obj = List.hd pairs in
@@ -1170,7 +1165,9 @@ let kernel_bench () =
     List.map
       (fun d ->
         let t = Unix.gettimeofday () in
-        let r = Engine.run ~domains:d ctx plan in
+        let r =
+          Engine.run ~domains:(Moard_inject.Exec.cap_domains d) ctx plan
+        in
         let s = Unix.gettimeofday () -. t in
         note "campaign %s/%s on %d domain(s): %.3fs" bench obj d s;
         (d, s, Moard_report.Campaign_report.stable_json r))

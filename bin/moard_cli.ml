@@ -177,8 +177,19 @@ let make_ctx ?(harts = 1) (e : Registry.entry) ~optimize =
   in
   Context.make w
 
+let domains_arg =
+  Term.(
+    const Moard_inject.Exec.cap_domains
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "domains" ] ~docv:"N"
+            ~doc:"Run fault injections on this many domains, capped at \
+                  the host's recommended domain count (the golden run is \
+                  still executed and traced once). Reports are \
+                  bit-identical for any value."))
+
 let analyze_cmd =
-  let run () e objs k fi_budget no_cache optimize jobs no_batch model harts =
+  let run () e objs k fi_budget no_cache optimize domains no_batch model harts =
     let options =
       { Model.default_options with k; fi_budget; use_cache = not no_cache;
         batch = not no_batch; model }
@@ -195,21 +206,9 @@ let analyze_cmd =
           (if Context.golden_executions () = 1 then "" else "s"));
     List.iter
       (fun obj ->
-        let r =
-          if jobs > 1 then
-            Moard_parallel.Parallel_model.analyze_ctx ~options ~domains:jobs
-              ctx ~object_name:obj
-          else Model.analyze ~options ctx ~object_name:obj
-        in
-        Format.printf "%a@.@." Advf.pp_report r)
+        Format.printf "%a@.@." Advf.pp_report
+          (Model.analyze ~options ~domains ctx ~object_name:obj))
       (pick_objects e objs)
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs"; "domains" ] ~docv:"N"
-          ~doc:"Analyze consumption sites on this many domains in parallel \
-                (the golden run is still executed and traced only once).")
   in
   let no_cache =
     Arg.(
@@ -230,7 +229,7 @@ let analyze_cmd =
        ~doc:"Compute aDVF for data objects of a benchmark (the model).")
     Term.(
       const run $ setup_logs $ bench_arg $ objects_arg $ k_arg $ fi_budget_arg
-      $ no_cache $ optimize_flag $ jobs_arg $ no_batch $ error_model_arg
+      $ no_cache $ optimize_flag $ domains_arg $ no_batch $ error_model_arg
       $ harts_arg)
 
 let exhaustive_cmd =
@@ -419,13 +418,6 @@ let max_samples_arg =
     & info [ "max-samples" ]
         ~doc:"Per-object sample cap (-1 = none; the population itself \
               always bounds the campaign).")
-
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "domains" ] ~docv:"N"
-        ~doc:"Resolve each batch's distinct injections on this many \
-              domains. Reports are bit-identical for any value.")
 
 let journal_arg =
   Arg.(

@@ -139,119 +139,71 @@ let stop_state (plan : Plan.t) (po : Plan.objective) st =
 
 (* ------------------------------------------------------------------ *)
 
-(* Resolve the distinct faults of a batch. Injection outcomes are a pure
-   function of the fault (the machine, tape and golden outputs are frozen
-   and shared; each worker owns a throwaway shard for its run counters),
-   so the result is independent of how jobs are dealt to domains — the
-   root of the domains=1 ≡ domains=N guarantee.
+(* Resolve the distinct faults of a batch on {!Moard_inject.Exec}.
+   Injection outcomes are a pure function of the fault, so the result is
+   independent of how jobs are dealt to domains — the root of the
+   domains=1 ≡ domains=N guarantee.
 
    With [batch] on, the jobs of a batch are grouped by consumption site and
    each group goes through one bit-parallel kernel sweep ({!Resolve.site}
-   restricted to the sampled bits) on the owning worker, which executes the
-   workload only for the bits the kernel cannot decide. Outcomes — and
-   hence codes, journal records and every statistic — are identical to
-   per-job injection; only wall-clock and the shard-local run counters
-   (which nothing downstream reads) change. The work unit is the site
-   (up to 64 patterns), so domains partition at site granularity and a
-   worker is never spawned without at least one unit to chew. *)
+   restricted to the sampled bits), which executes the workload only for
+   the bits the kernel cannot decide. Outcomes — and hence codes, journal
+   records and every statistic — are identical to per-job injection; only
+   wall-clock and the shard-local run counters (which nothing downstream
+   reads) change. The unit of work is then the site (up to 64 patterns);
+   without [batch] it is the single job. *)
 let run_jobs ctx ~model ~domains ~batch
     (jobs : (Context.ekey * Moard_trace.Consume.t * int) array) =
   let nj = Array.length jobs in
   let out = Array.make nj 0 in
-  let d = max 1 domains in
-  let per = Array.make d 0 in
-  if nj > 0 then
-    if batch then begin
-      (* Site-granular units, in first-appearance (= canonical job) order. *)
-      let groups : (Moard_trace.Consume.t, (int * int) list ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let order = ref [] in
-      Array.iteri
-        (fun i (_, site, bit) ->
-          match Hashtbl.find_opt groups site with
-          | Some l -> l := (i, bit) :: !l
-          | None ->
-            Hashtbl.replace groups site (ref [ (i, bit) ]);
-            order := site :: !order)
-        jobs;
-      let units = Array.of_list (List.rev !order) in
-      let nu = Array.length units in
-      let d = min d nu in
-      let resolve_unit sh site =
-        let members = List.rev !(Hashtbl.find groups site) in
-        let bits =
+  let per = Array.make domains 0 in
+  if nj > 0 then begin
+    (* units of (job index, bit): whole sites in first-appearance
+       (= canonical job) order, or one job each *)
+    let units =
+      if batch then begin
+        let groups = Hashtbl.create 64 and order = ref [] in
+        Array.iteri
+          (fun i (_, site, bit) ->
+            match Hashtbl.find_opt groups site with
+            | Some l -> l := (i, bit) :: !l
+            | None ->
+              let l = ref [ (i, bit) ] in
+              Hashtbl.replace groups site l;
+              order := (site, l) :: !order)
+          jobs;
+        Array.of_list
+          (List.rev_map (fun (site, l) -> (site, List.rev !l)) !order)
+      end
+      else Array.mapi (fun i (_, site, bit) -> (site, [ (i, bit) ])) jobs
+    in
+    let resolve w sh ((site : Moard_trace.Consume.t), members) =
+      per.(w) <- per.(w) + List.length members;
+      if batch then
+        let lanes =
           List.fold_left
             (fun acc (_, b) -> Moard_bits.Patternset.add acc b)
             Moard_bits.Patternset.empty members
         in
-        let outs = Resolve.site ~model ~lanes:bits sh site in
-        List.map (fun (i, b) -> (i, code_of_outcome outs.(b))) members
-      in
-      if d = 1 then begin
-        let sh = Context.shard ctx in
-        Array.iter
-          (fun site ->
-            let rs = resolve_unit sh site in
-            per.(0) <- per.(0) + List.length rs;
-            List.iter (fun (i, c) -> out.(i) <- c) rs)
-          units
-      end
-      else begin
-        let worker w =
-          Domain.spawn (fun () ->
-              let sh = Context.shard ctx in
-              let acc = ref [] in
-              let u = ref w in
-              while !u < nu do
-                acc := List.rev_append (resolve_unit sh units.(!u)) !acc;
-                u := !u + d
-              done;
-              !acc)
-        in
-        let handles = List.init d worker in
-        List.iteri
-          (fun w h ->
-            let rs = Domain.join h in
-            per.(w) <- per.(w) + List.length rs;
-            List.iter (fun (i, c) -> out.(i) <- c) rs)
-          handles
-      end
-    end
-    else begin
-      let resolve sh (_, site, bit) =
-        code_of_outcome
-          (Context.inject sh
-             (Context.fault_of_site site
-                (Errmodel.pattern_at model site.Moard_trace.Consume.width bit)))
-      in
-      let d = min d nj in
-      if d = 1 then begin
-        let sh = Context.shard ctx in
-        Array.iteri (fun i j -> out.(i) <- resolve sh j) jobs;
-        per.(0) <- nj
-      end
-      else begin
-        let worker w =
-          Domain.spawn (fun () ->
-              let sh = Context.shard ctx in
-              let acc = ref [] in
-              let i = ref w in
-              while !i < nj do
-                acc := (!i, resolve sh jobs.(!i)) :: !acc;
-                i := !i + d
-              done;
-              !acc)
-        in
-        let handles = List.init d worker in
-        List.iteri
-          (fun w h ->
-            let rs = Domain.join h in
-            per.(w) <- per.(w) + List.length rs;
-            List.iter (fun (i, c) -> out.(i) <- c) rs)
-          handles
-      end
-    end;
+        let outs = Resolve.site ~model ~lanes sh site in
+        List.map (fun (_, b) -> code_of_outcome outs.(b)) members
+      else
+        List.map
+          (fun (_, b) ->
+            let pattern = Errmodel.pattern_at model site.width b in
+            code_of_outcome
+              (Context.inject sh (Context.fault_of_site site pattern)))
+          members
+    in
+    (* the batch's own shard: [ctx] may be shared with other requests *)
+    let codes =
+      Moard_inject.Exec.run ~domains (Context.shard ctx) resolve units
+    in
+    Array.iteri
+      (fun u (_, members) ->
+        List.iter2 (fun (i, _) c -> out.(i) <- c) members codes.(u))
+      units
+  end;
   (out, per)
 
 let apply_sample st ~stratum ~code =
@@ -408,12 +360,10 @@ let run_internal ~domains ~batch ~max_batches ~should_stop ~cancel ~writer
        | Some c -> Moard_chaos.Cancel.cancelled c
        | None -> false
   in
-  (* More workers than cores only adds scheduling overhead (the workload
-     is CPU-bound); silently cap rather than make domains=N a footgun. *)
-  let domains = min (max 1 domains) (Domain.recommended_domain_count ()) in
+  let domains = max 1 domains in
   let states = Array.map init_state plan.Plan.objectives in
   replay_records ctx plan states replayed;
-  let per_domain = Array.make (max 1 domains) 0 in
+  let per_domain = Array.make domains 0 in
   let inject_seconds = ref 0.0 in
   let batches = ref 0 in
   let objects =
@@ -486,7 +436,7 @@ let run_internal ~domains ~batch ~max_batches ~should_stop ~cancel ~writer
     seed = plan.Plan.seed;
     confidence = plan.Plan.confidence;
     ci_width = plan.Plan.ci_width;
-    domains = max 1 domains;
+    domains;
     objects;
     perf =
       {

@@ -4,7 +4,7 @@
     Executes a {!Plan}: samples each object's stratified fault-site
     population without replacement in the plan's frozen order, resolves
     batches of injections across OCaml 5 domains over one shared golden
-    run ({!Moard_inject.Context.shard}), deduplicates by error-equivalence
+    run ({!Moard_inject.Exec}), deduplicates by error-equivalence
     class (cache hits count as resolved samples), journals every batch,
     and stops per object as soon as the combined Wilson interval around
     the masking estimate is narrower than the plan's target.
@@ -93,10 +93,10 @@ val run :
   Moard_inject.Context.t ->
   Plan.t ->
   result
-(** Execute a campaign. [domains] defaults to 1 and is silently capped at
-    [Domain.recommended_domain_count ()] — oversubscribing a CPU-bound
-    pool only adds overhead; within a batch, workers partition at site
-    granularity and never spawn without a unit of work. [batch] (default
+(** Execute a campaign. [domains] (default 1) workers resolve each
+    batch's distinct injections on {!Moard_inject.Exec.run}; the count is
+    used as given (a caller taking it from outside clamps it with
+    {!Moard_inject.Exec.cap_domains}). [batch] (default
     [true]) resolves each site's sampled bits through the bit-parallel
     kernel ({!Moard_inject.Resolve.site}), executing the workload only for
     the bits it cannot decide; outcome codes, journal contents and every

@@ -415,7 +415,7 @@ let warm_req benchmark obj options =
 let warm_option_fields req =
   List.filter_map
     (fun k -> Option.map (fun v -> (k, v)) (Jsonx.member k req))
-    [ "k"; "fi_budget"; "error_model" ]
+    Moard_server.Ops.advf_fields
 
 (* A freshly computed object is a hotness signal: queue its registry
    siblings (same benchmark, same analysis options) for precompute. *)

@@ -97,23 +97,6 @@ let add_pattern_set t ~lanes ~stage ~count verdict =
     add_num t ~num:(t.den / lanes * count) verdict
   end
 
-let absorb t other =
-  if not (String.equal t.object_name other.object_name) then
-    invalid_arg "Advf.absorb: object names differ";
-  if t.den <> other.den then invalid_arg "Advf.absorb: denominators differ";
-  t.involvements <- t.involvements + other.involvements;
-  t.events_num <- t.events_num + other.events_num;
-  Array.iteri (fun i s -> t.level_num.(i) <- t.level_num.(i) + s)
-    other.level_num;
-  Array.iteri (fun i s -> t.kind_num.(i) <- t.kind_num.(i) + s)
-    other.kind_num;
-  t.patterns <- t.patterns + other.patterns;
-  t.op_n <- t.op_n + other.op_n;
-  t.prop_n <- t.prop_n + other.prop_n;
-  t.fi_n <- t.fi_n + other.fi_n;
-  t.cached_n <- t.cached_n + other.cached_n;
-  t.gave_up <- t.gave_up + other.gave_up
-
 let report t ~fi_runs ~fi_cache_hits =
   let m = float_of_int (max t.involvements 1) in
   let den = float_of_int t.den in

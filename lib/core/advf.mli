@@ -59,14 +59,6 @@ val add_pattern_set : t -> lanes:int -> stage:stage -> count:int ->
     calls of {!add_pattern} by construction (integer numerators).
     @raise Invalid_argument on a negative count or non-dividing [lanes]. *)
 
-val absorb : t -> t -> unit
-(** [absorb t other] folds [other]'s accumulated state into [t] — the
-    online counterpart of {!merge}: verdict streams accumulated separately
-    (e.g. per consumption-site shard) combine into exactly the sums a
-    single accumulator fed the concatenated stream would hold, because
-    every field is a plain sum. [other] is unchanged.
-    @raise Invalid_argument if the object names or denominators differ. *)
-
 val report :
   t -> fi_runs:int -> fi_cache_hits:int -> report
 

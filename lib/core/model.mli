@@ -8,9 +8,9 @@
     + deterministic fault injection ({!Moard_inject.Context}) for whatever
       the first two stages leave unresolved,
 
-    then folds the verdicts into the aDVF accumulator. Verdicts are
-    memoized by error equivalence (static instruction, operand values,
-    site, pattern), on top of the injector's own outcome cache. *)
+    then folds the verdicts into the aDVF accumulator. Verdicts and
+    fault-injection outcomes are memoized by error equivalence (static
+    instruction, operand values, site, pattern). *)
 
 type options = {
   k : int;              (** propagation window; paper uses 50 *)
@@ -34,17 +34,22 @@ val default_options : options
     batched kernel on, single-bit error model. *)
 
 val analyze :
-  ?options:options -> ?site_filter:(int -> bool) ->
+  ?options:options -> ?domains:int -> ?site_filter:(int -> bool) ->
   ?cancel:Moard_chaos.Cancel.t ->
   Moard_inject.Context.t -> object_name:string -> Advf.report
-(** [site_filter] keeps only the consumption sites whose index in the
-    enumeration order passes — the partitioning hook of the parallel
-    driver ({!Moard_parallel}); a report over a subset is merged with its
-    peers via {!Advf.merge}. [cancel] is checked before each site:
-    a tripped or expired token raises {!Moard_chaos.Cancel.Cancelled},
-    so a timed-out daemon request frees its worker instead of sweeping
-    the remaining sites (no partial report escapes — the exception is
-    the only observable). *)
+(** The calling domain walks the sites in scan order and decides every
+    fault injection: the budget counts decided runs, and a memo owned by
+    the call, keyed by {!Moard_inject.Context.ekey}, answers a whole
+    equivalence class with one run. {!Moard_inject.Exec.run} runs the
+    jobs on [domains] workers (default 1, used as given): on one, each
+    job as soon as it is decided, on [ctx] itself; on several, in batches
+    spanning sites. The walk never reads an outcome, so every report
+    field is the same for any [domains]. [site_filter] keeps the
+    sites whose enumeration index passes ({!Hart_split}'s partitions).
+    [cancel] is checked before each site and each unit of injections: a
+    tripped or expired token raises {!Moard_chaos.Cancel.Cancelled}, so a
+    timed-out daemon request frees its worker instead of sweeping the
+    remaining sites (no partial report escapes). *)
 
 val analyze_targets :
   ?options:options -> Moard_inject.Context.t -> Advf.report list

@@ -65,7 +65,7 @@ let observe_mem machine (w : Workload.t) mem =
   (Array.of_list (List.rev !bits), Array.of_list (List.rev !floats))
 
 (* Process-wide count of golden (traced) executions, across all domains:
-   the observable the pipeline benchmark uses to prove the parallel driver
+   the observable the pipeline benchmark uses to prove a parallel analysis
    runs the workload once, not once per domain. *)
 let goldens = Atomic.make 0
 let golden_executions () = Atomic.get goldens

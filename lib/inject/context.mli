@@ -86,13 +86,14 @@ type ekey
     meaningful, so it can key external tables. *)
 
 val ekey : t -> Moard_trace.Consume.t -> Moard_bits.Pattern.t -> ekey
-(** The equivalence class of an injection, exposed so campaign drivers can
-    memoize outcomes {e partition-independently}: with the per-shard cache
-    of {!inject_at}, which class member gets executed (and therefore which
-    outcome the class memoizes) depends on how sites were dealt to shards;
-    a driver that keys its own table with [ekey] and resolves each new
-    class with the uncached {!inject} gets results that are bit-identical
-    for any domain count. *)
+(** The equivalence class of an injection, exposed so drivers (the model,
+    the campaign engine) memoize outcomes {e partition-independently}:
+    with the per-shard cache of {!inject_at}, which class member gets
+    executed (and therefore which outcome the class memoizes) would
+    depend on how sites were dealt to shards; a driver that keys its own
+    table with [ekey] on one domain and runs each new class with the
+    uncached {!inject} gets results that are bit-identical for any
+    domain count. *)
 
 val runs : t -> int
 (** Fault-injection executions actually performed. *)

@@ -58,6 +58,11 @@ let model_of req =
       | Error msg -> raise (Bad_request msg))
     (str_opt req "error_model")
 
+(* A domain count from a request is clamped to the host, like the
+   command line's. *)
+let domains_of req =
+  Option.map Moard_inject.Exec.cap_domains (int_opt req "domains")
+
 let objects_of req (e : Registry.entry) =
   match list_opt Jsonx.str "strings" req "objects" with
   | None | Some [] -> e.Registry.objects
@@ -131,19 +136,23 @@ let reply ~op ~key ~status (e : Registry.entry) extra payload =
       @ extra),
     Some payload )
 
+(* The advf options and the request fields they are read from. *)
+let advf_fields = [ "k"; "fi_budget"; "error_model" ]
+
+let advf_options req =
+  let d = Model.default_options in
+  {
+    d with
+    Model.k = Option.value ~default:d.Model.k (int_opt req "k");
+    fi_budget =
+      Option.value ~default:d.Model.fi_budget (int_opt req "fi_budget");
+    model = Option.value ~default:d.Model.model (model_of req);
+  }
+
 let advf env req =
   let e = entry_of req in
   let object_name = field_str req "object" in
-  let d = Model.default_options in
-  let options =
-    {
-      d with
-      Model.k = Option.value ~default:d.Model.k (int_opt req "k");
-      fi_budget =
-        Option.value ~default:d.Model.fi_budget (int_opt req "fi_budget");
-      model = Option.value ~default:d.Model.model (model_of req);
-    }
-  in
+  let options = advf_options req in
   let key, payload, status =
     Query.advf env.store ~options ?cancel:env.cancel
       ~ctx:(fun () -> env.context e)
@@ -154,7 +163,7 @@ let advf env req =
 let campaign env req =
   let e = entry_of req in
   let plan = plan_of req e in
-  let domains = int_opt req "domains" in
+  let domains = domains_of req in
   (* the plan needs the fault-site population, hence the golden run *)
   let ctx = env.context e in
   let key, payload, status, result =
@@ -220,7 +229,7 @@ let predict env req =
     Query.predict env.store ?model:(model_of req) ?seed:(int_opt req "seed")
       ?confidence:(float_opt req "confidence")
       ?ci_width:(float_opt req "ci_width")
-      ?max_samples:(int_opt req "max_samples") ?domains:(int_opt req "domains")
+      ?max_samples:(int_opt req "max_samples") ?domains:(domains_of req)
       ?cancel:env.cancel ~workload_at:e.Registry.workload_at ~object_name
       ~sizes ~target ()
   in
@@ -235,7 +244,7 @@ let advise env req =
     Query.advise env.store ?model:(model_of req) ?seed:(int_opt req "seed")
       ?confidence:(float_opt req "confidence")
       ?ci_width:(float_opt req "ci_width")
-      ?max_samples:(int_opt req "max_samples") ?domains:(int_opt req "domains")
+      ?max_samples:(int_opt req "max_samples") ?domains:(domains_of req)
       ?cancel:env.cancel ~workload:(e.Registry.workload ()) ~objects ()
   in
   reply ~op:"advise" ~key ~status e [] payload

@@ -21,6 +21,10 @@ type reply = Jsonx.t * string option
 exception Bad_request of string
 (** A request that cannot be interpreted; answered as [bad-request]. *)
 
+val int_opt : Jsonx.t -> string -> int option
+(** An optional integer field. @raise Bad_request if present and not an
+    integer. *)
+
 val field_str : Jsonx.t -> string -> string
 (** A required string field. @raise Bad_request if absent or not a
     string. *)
@@ -28,6 +32,13 @@ val field_str : Jsonx.t -> string -> string
 val entry_of : Jsonx.t -> Moard_kernels.Registry.entry
 (** The request's ["benchmark"]. @raise Bad_request if absent or
     unknown. *)
+
+val advf_fields : string list
+(** The request fields that carry the [advf] op's analysis options. *)
+
+val advf_options : Jsonx.t -> Moard_core.Model.options
+(** The [advf] op's analysis options; absent fields take their defaults.
+    @raise Bad_request if one of {!advf_fields} has the wrong type. *)
 
 val names : string list
 (** The compute ops, in table order. *)

@@ -126,13 +126,16 @@ let enqueue_warm t item =
       end;
       fresh)
 
-(* "warm" acknowledges immediately and queues the server's precompute
-   item; the warm thread drains the queue only while the server is
-   otherwise idle, so warming never competes with a live request. *)
+(* "warm" checks its fields as the advf op it precomputes would,
+   acknowledges immediately and queues the server's precompute item; the
+   warm thread drains the queue only while the server is otherwise idle,
+   so warming never competes with a live request. *)
 let warm t req =
   match
     let e = Ops.entry_of req in
-    (e, Ops.field_str req "object")
+    let object_name = Ops.field_str req "object" in
+    ignore (Ops.advf_options req);
+    (e, object_name)
   with
   | exception Ops.Bad_request msg ->
     (Protocol.error ~code:"bad-request" ~message:msg, None)
@@ -231,7 +234,9 @@ let single_flight t ~fd ~deadline_s op req =
       raise e)
 
 let dispatch t ?fd ?deadline_s req =
-  match Jsonx.int (Jsonx.member "proto" req) with
+  match Ops.int_opt req "proto" with
+  | exception Ops.Bad_request msg ->
+    (Protocol.error ~code:"bad-request" ~message:msg, None)
   | Some p when p <> Protocol.version ->
     ( Protocol.error ~code:"proto-mismatch"
         ~message:

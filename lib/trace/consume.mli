@@ -41,8 +41,8 @@ val iter_sites :
   Tape.Cursor.t -> Data_object.t -> (int -> t -> unit) -> unit
 (** [iter_sites cursor obj f] streams the consumption sites of [obj] in
     the cursor's window, in trace order, calling [f i site] with [i] the
-    site's index in enumeration order (the partitioning key of the
-    parallel driver). Events are pre-screened on the packed tape fields,
+    site's index in enumeration order (the partitioning key of
+    [Hart_split]). Events are pre-screened on the packed tape fields,
     so only events that can contribute a site are decoded; no site list is
     materialized. [segment] filters by function name (default: accept
     all). *)

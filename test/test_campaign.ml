@@ -197,13 +197,7 @@ let engine_tests =
         let ctx, plan = small_plan () in
         let r1 = Engine.run ~domains:1 ctx plan in
         let r3 = Engine.run ~domains:3 ctx plan in
-        Alcotest.(check string) "stable reports equal" (stable r1) (stable r3);
-        (* requested domains are capped at the machine's recommended count
-           (oversubscribing a CPU-bound pool only adds overhead), so the
-           run uses min(3, recommended) domains *)
-        Alcotest.(check int) "domain count capped at recommended"
-          (min 3 (Domain.recommended_domain_count ()))
-          (Array.length r3.Engine.perf.Engine.per_domain_runs));
+        Alcotest.(check string) "stable reports equal" (stable r1) (stable r3));
     Alcotest.test_case "cache hits count as resolved samples" `Quick
       (fun () ->
         (* m_elemBC has large equivalence classes (exhaustive: 96 runs for

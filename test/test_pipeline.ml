@@ -1,5 +1,5 @@
 (* The streaming trace pipeline: packed-tape round-trips, cursor windows,
-   online aDVF accumulation, the shared-golden-run parallel driver, and the
+   aDVF accumulation, the golden run shared by parallel analysis, and the
    bit-identity golden snapshot over every Table-I data object. *)
 
 module Tape = Moard_trace.Tape
@@ -150,7 +150,7 @@ let cursor_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Online aDVF accumulation: qcheck merge/absorb properties            *)
+(* aDVF accumulation: qcheck merge properties                         *)
 
 let close = Alcotest.float 1e-9
 
@@ -224,12 +224,8 @@ let advf_stream_tests =
            and rest = List.filteri (fun i _ -> i >= cut) stream in
            (* online: one accumulator over the whole stream *)
            let online = report_of stream in
-           (* batch: per-shard accumulators, folded with absorb *)
-           let a = Advf.create "x" and b = Advf.create "x" in
-           feed a first;
-           feed b rest;
-           Advf.absorb a b;
-           let batch = Advf.report a ~fi_runs:0 ~fi_cache_hits:0 in
+           (* batch: one report per disjoint shard of sites, merged *)
+           let batch = Advf.merge [ report_of first; report_of rest ] in
            check_reports_equal "online=batch" online batch;
            true));
     QCheck_alcotest.to_alcotest
@@ -253,11 +249,6 @@ let advf_stream_tests =
            check_reports_equal "assoc l=r" left right;
            check_reports_equal "assoc l=flat" left flat;
            true));
-    Alcotest.test_case "absorb rejects mixed objects" `Quick (fun () ->
-        let a = Advf.create "x" and b = Advf.create "y" in
-        match Advf.absorb a b with
-        | exception Invalid_argument _ -> ()
-        | () -> Alcotest.fail "expected Invalid_argument");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -269,14 +260,14 @@ let shared_golden_tests =
       `Slow (fun () ->
         let g0 = Context.golden_executions () in
         let r =
-          Moard_parallel.Parallel_model.analyze ~domains:3
-            ~workload:(fun () -> Moard_kernels.Lulesh.workload ~nelem:6 ())
-            ~object_name:"m_elemBC" ()
+          Model.analyze ~domains:3
+            (Context.make (Moard_kernels.Lulesh.workload ~nelem:6 ()))
+            ~object_name:"m_elemBC"
         in
         assert (r.Advf.advf >= 0.0 && r.Advf.advf <= 1.0);
         Alcotest.(check int) "golden executions" 1
           (Context.golden_executions () - g0));
-    Alcotest.test_case "analyze_ctx shares one golden run across objects"
+    Alcotest.test_case "one context shares its golden run across objects"
       `Slow (fun () ->
         let g0 = Context.golden_executions () in
         let ctx =
@@ -284,9 +275,7 @@ let shared_golden_tests =
         in
         List.iter
           (fun obj ->
-            ignore
-              (Moard_parallel.Parallel_model.analyze_ctx ~domains:2 ctx
-                 ~object_name:obj))
+            ignore (Model.analyze ~domains:2 ctx ~object_name:obj))
           [ "m_elemBC"; "m_delv_zeta" ];
         Alcotest.(check int) "golden executions" 1
           (Context.golden_executions () - g0));

@@ -45,7 +45,18 @@ let typed_field_cases =
       mm "advf" [ ("object", Jsonx.Str "C"); ("error_model", Jsonx.Int 3) ] );
   ]
 
-let check_typed_fields answer =
+(* Fields the envelope reads itself: a warm's advf options, checked
+   before the warm is queued, and the protocol version. *)
+let envelope_field_cases =
+  [
+    ("k", mm "warm" [ ("object", Jsonx.Str "C"); ("k", Jsonx.Str "7") ]);
+    ( "fi_budget",
+      mm "warm" [ ("object", Jsonx.Str "C"); ("fi_budget", Jsonx.Str "x") ] );
+    ( "proto",
+      Jsonx.Obj [ ("proto", Jsonx.Str "99"); ("op", Jsonx.Str "version") ] );
+  ]
+
+let check_typed_fields ?(cases = typed_field_cases) answer =
   List.iter
     (fun (field, req) ->
       match Client.error_of (fst (answer req)) with
@@ -57,7 +68,7 @@ let check_typed_fields answer =
       | Some (code, msg) ->
         Alcotest.failf "%s: expected bad-request, got %s: %s" field code msg
       | None -> Alcotest.failf "%s: a mistyped field was answered ok" field)
-    typed_field_cases
+    cases
 
 (* Every answer here comes from the envelope, before any compute: a
    mismatching checksum is refused, so nothing is queued or computed. *)
@@ -98,7 +109,8 @@ let envelope_checks ~role socket =
           ("object", Jsonx.Str "C");
         ] );
     ];
-  check_typed_fields (fun req -> Client.rpc ~timeout_s:30. ~socket req)
+  check_typed_fields ~cases:(typed_field_cases @ envelope_field_cases)
+    (fun req -> Client.rpc ~timeout_s:30. ~socket req)
 
 (* A one-worker daemon on a fresh socket and store, stopped after [f]. *)
 let with_daemon f =
