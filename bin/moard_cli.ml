@@ -219,7 +219,7 @@ let analyze_cmd =
     Arg.(
       value & flag
       & info [ "no-batch" ]
-          ~doc:"Disable the bit-parallel masking kernel and resolve every \
+          ~doc:"Disable the batched masking kernel and resolve every \
                 error pattern individually (the scalar oracle). Reports \
                 are byte-identical with or without this flag; only \
                 wall-clock time changes. Differential-testing aid.")

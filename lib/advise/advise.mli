@@ -83,7 +83,7 @@ val run :
     single-bit model, seed 42, 95% confidence, 0.02 target half-width,
     no sample cap. Deterministic per (workload, parameters) — neither
     [domains] nor [batch] changes a byte of the result, since campaigns
-    are domain-count invariant and the bit-parallel kernel is exact.
+    are domain-count invariant and the batched kernel is exact.
     [cancel] is polled at engine batch boundaries
     ({!Moard_chaos.Cancel.Cancelled} propagates; nothing is returned).
     @raise Invalid_argument if an object is unknown or has no fault sites

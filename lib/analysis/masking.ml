@@ -1,5 +1,6 @@
 module Bitval = Moard_bits.Bitval
 module Pattern = Moard_bits.Pattern
+module Errmodel = Moard_bits.Errmodel
 module Ps = Moard_bits.Patternset
 module Event = Moard_trace.Event
 module Consume = Moard_trace.Consume
@@ -16,13 +17,12 @@ and changed_out =
   | To_reg of { frame : int; reg : int; value : Moard_bits.Bitval.t }
   | To_mem of { addr : int; value : Moard_bits.Bitval.t; ty : Moard_ir.Types.t }
 
-(* The scalar classifier: [values] is the operand vector with
-   [values.(slot)] already replaced by [corrupt]. Shared by the
-   one-pattern entry point and the bit-by-bit fallback of the batched
-   one, so the two agree by construction wherever the fallback runs. *)
-let classify_read (e : Event.t) ~slot values ~(corrupt : Bitval.t) =
-  let overshadow = Reexec.overshadow_candidate e ~slot ~corrupt in
-  match (Reexec.recompute e values, Reexec.clean_out e) with
+(* The scalar rule: [r] is what the operation produces with [corrupt] in
+   slot [slot], [clean] what it produced in the golden run. Shared by the
+   one-pattern entry point, the per-lane kernel and the scalar walk, so
+   the three agree by construction. *)
+let classify (e : Event.t) ~slot ~clean ~(corrupt : Bitval.t) r =
+  match (r, clean) with
   | Reexec.Rtrap trap, _ -> Crash_certain trap
   | Reexec.Rctl taken', Reexec.Rctl taken ->
     if taken = taken' then Masked Verdict.Logic_cmp else Divergent
@@ -31,7 +31,11 @@ let classify_read (e : Event.t) ~slot values ~(corrupt : Bitval.t) =
     else (
       match e.write with
       | Event.Wreg { frame; reg; _ } ->
-        Changed { out = To_reg { frame; reg; value = v' }; overshadow }
+        Changed
+          {
+            out = To_reg { frame; reg; value = v' };
+            overshadow = Reexec.overshadow_candidate e ~slot ~corrupt;
+          }
       | Event.Wmem _ | Event.Wnone ->
         invalid_arg "Masking.analyze: register result without a register write")
   | Reexec.Rmem (addr', v', ty), Reexec.Rmem (addr, v, _) ->
@@ -41,7 +45,12 @@ let classify_read (e : Event.t) ~slot values ~(corrupt : Bitval.t) =
       Divergent
     else if Bitval.equal v' v then
       Masked (Reexec.exact_mask_kind e.instr ~slot)
-    else Changed { out = To_mem { addr; value = v'; ty }; overshadow }
+    else
+      Changed
+        {
+          out = To_mem { addr; value = v'; ty };
+          overshadow = Reexec.overshadow_candidate e ~slot ~corrupt;
+        }
   | (Reexec.Rload _ | Reexec.Rcall | Reexec.Rret _ | Reexec.Rnone), _ ->
     invalid_arg "Masking.analyze: not a consuming operation"
   | _, _ -> invalid_arg "Masking.analyze: output shape mismatch"
@@ -65,12 +74,11 @@ let analyze (e : Event.t) kind pattern =
     let values = Array.map (fun (r : Event.read) -> r.value) e.reads in
     let corrupt = Pattern.apply pattern values.(slot) in
     values.(slot) <- corrupt;
-    classify_read e ~slot values ~corrupt
+    classify e ~slot ~clean:(Reexec.clean_out e) ~corrupt
+      (Reexec.recompute e values)
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation of a whole error-model pattern set.              *)
-
-module Errmodel = Moard_bits.Errmodel
 
 type verdicts = {
   width : Moard_bits.Bitval.width;
@@ -79,74 +87,69 @@ type verdicts = {
   masked : Ps.t;
   mask_kind : Verdict.kind;
   crash : Ps.t;
-  trap : Moard_vm.Trap.t option;
   traps : (int * Moard_vm.Trap.t) list;
   divergent : Ps.t;
   changed : Ps.t;
   overshadow : Ps.t;
 }
 
-let mk ~width ~model ~n ~mask_kind ?(masked = Ps.empty) ?(crash = Ps.empty)
-    ?(traps = []) ?(divergent = Ps.empty) ?(overshadow = Ps.empty) () =
-  let changed =
-    Ps.diff (Ps.full_n ~n) (Ps.union masked (Ps.union crash divergent))
-  in
+(* Sort lanes [0, n) into verdict sets by the scalar verdict of each. *)
+let collect ~width ~model ~n ~mask_kind verdict =
+  let masked = ref Ps.empty
+  and crash = ref Ps.empty
+  and divergent = ref Ps.empty
+  and changed = ref Ps.empty
+  and overshadow = ref Ps.empty
+  and traps = ref [] in
+  for lane = 0 to n - 1 do
+    match verdict lane with
+    | Masked _ -> masked := Ps.add !masked lane
+    | Crash_certain t ->
+      crash := Ps.add !crash lane;
+      traps := (lane, t) :: !traps
+    | Divergent -> divergent := Ps.add !divergent lane
+    | Changed { overshadow = o; _ } ->
+      changed := Ps.add !changed lane;
+      if o then overshadow := Ps.add !overshadow lane
+  done;
   {
     width;
     model;
     lanes = n;
-    masked;
+    masked = !masked;
     mask_kind;
-    crash;
-    trap = (match traps with [] -> None | (_, t) :: _ -> Some t);
-    traps;
-    divergent;
-    changed;
-    overshadow = Ps.inter overshadow changed;
+    crash = !crash;
+    traps = List.rev !traps;
+    divergent = !divergent;
+    changed = !changed;
+    overshadow = !overshadow;
   }
 
-(* The proof-carrying scalar walk, kept solely as the differential
-   oracle: classify every lane with the scalar classifier. The batched
-   path must never take it — every consuming opcode has either a closed
-   form or a direct per-lane kernel below — and the process-wide counter
-   makes the claim observable. *)
+let site_width (e : Event.t) (kind : Consume.kind) =
+  match kind with
+  | Consume.Store_dest -> (
+    match e.instr with
+    | I.Store (ty, _, _) -> Moard_ir.Types.width ty
+    | _ -> invalid_arg "Masking: store destination of a non-store")
+  | Consume.Read { slot } ->
+    check_read_site e ~slot;
+    (e.reads.(slot).Event.value : Bitval.t).width
+
+(* The scalar walk, kept solely as the differential oracle: {!analyze}
+   on every lane's pattern. The batched path must never take it — every
+   consuming opcode has a per-lane kernel below — and the process-wide
+   counter makes the claim observable. *)
 let scan_calls = Atomic.make 0
 let scan_executions () = Atomic.get scan_calls
 
-let scan ~model (e : Event.t) ~slot ~width ~mask_kind =
+let scan ~model (e : Event.t) kind ~width ~n ~mask_kind =
   Atomic.incr scan_calls;
-  let values = Array.map (fun (r : Event.read) -> r.value) e.reads in
-  let clean = values.(slot) in
-  let n = Errmodel.lanes model width in
-  let masked = ref Ps.empty
-  and crash = ref Ps.empty
-  and divergent = ref Ps.empty
-  and overshadow = ref Ps.empty
-  and traps = ref [] in
-  for i = 0 to n - 1 do
-    let corrupt = Pattern.apply (Errmodel.pattern_at model width i) clean in
-    values.(slot) <- corrupt;
-    match classify_read e ~slot values ~corrupt with
-    | Masked _ -> masked := Ps.add !masked i
-    | Crash_certain t ->
-      crash := Ps.add !crash i;
-      traps := (i, t) :: !traps
-    | Divergent -> divergent := Ps.add !divergent i
-    | Changed { overshadow = o; _ } ->
-      if o then overshadow := Ps.add !overshadow i
-  done;
-  mk ~width ~model ~n ~mask_kind ~masked:!masked ~crash:!crash
-    ~traps:(List.rev !traps) ~divergent:!divergent ~overshadow:!overshadow ()
+  collect ~width ~model ~n ~mask_kind (fun lane ->
+      analyze e kind (Errmodel.pattern_at model width lane))
 
-(* Per-lane direct kernels for the opcodes whose result depends on the
-   operand's numeric value rather than its bit structure — float
-   arithmetic (the Fbin classifier: IEEE rounding absorption has no
-   bit-algebraic form, so each lane is one float operation), division and
-   remainder (the certain-trap source), ordered comparisons, corrupted
-   shift amounts, value casts, addresses. One closure per site evaluates
-   the operation's own Semantics with the corrupted operand substituted
-   in the slot; no event re-materialization, no generic re-execution
-   dispatch. *)
+(* The per-lane kernel of a read site: the operation's own Semantics with
+   the corrupted operand substituted in the slot, one call per lane. No
+   event re-materialization, no generic re-execution dispatch. *)
 let kernel_of (e : Event.t) ~slot =
   let v i = e.reads.(i).Event.value in
   let pick i c = if i = slot then c else v i in
@@ -190,193 +193,28 @@ let kernel_of (e : Event.t) ~slot =
 
 let analyze_all ?(model = Errmodel.Single_bit) (e : Event.t)
     (kind : Consume.kind) =
+  let width = site_width e kind in
+  let n = Errmodel.lanes model width in
   match kind with
   | Consume.Store_dest ->
-    let width =
-      match e.instr with
-      | I.Store (ty, _, _) -> Moard_ir.Types.width ty
-      | _ ->
-        invalid_arg "Masking.analyze_all: store destination of a non-store"
-    in
-    let n = Errmodel.lanes model width in
-    mk ~width ~model ~n ~mask_kind:Verdict.Overwrite ~masked:(Ps.full_n ~n) ()
+    collect ~width ~model ~n ~mask_kind:Verdict.Overwrite (fun _ ->
+        Masked Verdict.Overwrite)
   | Consume.Read { slot } -> (
-    check_read_site e ~slot;
-    let a = (e.reads.(slot).Event.value : Bitval.t) in
-    let width = a.Bitval.width in
-    let n = Errmodel.lanes model width in
-    let single = model = Errmodel.Single_bit in
-    let flips () = Array.init n (fun i -> Errmodel.flip_mask model width i) in
     let mask_kind = Reexec.exact_mask_kind e.instr ~slot in
-    let mk = mk ~width ~model ~n ~mask_kind in
-    (* Closed forms, dispatched on the model: the O(1) single-bit forms
-       on the historical path, the flip-mask generalizations otherwise. *)
-    let band_masked ~other =
-      if single then Ps.band_masked ~other ~width
-      else Ps.band_masked_m ~flips:(flips ()) ~other ~width
-    and bor_masked ~other =
-      if single then Ps.bor_masked ~other ~width
-      else Ps.bor_masked_m ~flips:(flips ()) ~other ~width
-    and bxor_masked () =
-      if single then Ps.bxor_masked ~width else Ps.empty
-    and addsub_masked () =
-      if single then Ps.addsub_masked ~width
-      else Ps.addsub_masked_m ~flips:(flips ()) ~width
-    and addsub_overshadow ~other =
-      if single then Ps.addsub_overshadow ~a:a.Bitval.bits ~other ~width
-      else
-        Ps.addsub_overshadow_m ~flips:(flips ()) ~a:a.Bitval.bits ~other
-          ~width
-    and mul_masked ~other =
-      if single then Ps.mul_masked ~other ~width
-      else Ps.mul_masked_m ~flips:(flips ()) ~other ~width
-    and shl_value_masked ~amount =
-      if single then Ps.shl_value_masked ~amount ~width
-      else Ps.shl_value_masked_m ~flips:(flips ()) ~amount ~width
-    and lshr_value_masked ~amount =
-      if single then Ps.lshr_value_masked ~amount ~width
-      else Ps.lshr_value_masked_m ~flips:(flips ()) ~amount ~width
-    and ashr_value_masked ~amount =
-      if single then Ps.ashr_value_masked ~amount ~width
-      else Ps.ashr_value_masked_m ~flips:(flips ()) ~amount ~width
-    and eq_masked ~b =
-      if single then Ps.eq_masked ~a:a.Bitval.bits ~b ~width
-      else Ps.eq_masked_m ~flips:(flips ()) ~a:a.Bitval.bits ~b ~width
-    and trunc_masked () =
-      if single then Ps.trunc_masked ~width
-      else Ps.trunc_masked_m ~flips:(flips ()) ~width
-    in
-    (* The direct per-lane kernel for everything without a closed form;
-       the scalar walk is unreachable from here for consuming events and
-       stays only as the counted last resort. *)
-    let direct () =
-      match kernel_of e ~slot with
-      | None -> scan ~model e ~slot ~width ~mask_kind
-      | Some k ->
-        let clean_o = Reexec.clean_out e in
-        let masked = ref Ps.empty
-        and crash = ref Ps.empty
-        and divergent = ref Ps.empty
-        and overshadow = ref Ps.empty
-        and traps = ref [] in
-        for lane = 0 to n - 1 do
-          let m = Errmodel.flip_mask model width lane in
-          let corrupt = Bitval.make width (Int64.logxor a.Bitval.bits m) in
-          match (k corrupt, clean_o) with
-          | Reexec.Rtrap t, _ ->
-            crash := Ps.add !crash lane;
-            traps := (lane, t) :: !traps
-          | Reexec.Rctl taken', Reexec.Rctl taken ->
-            if taken = taken' then masked := Ps.add !masked lane
-            else divergent := Ps.add !divergent lane
-          | Reexec.Rreg v', Reexec.Rreg v ->
-            if Bitval.equal v' v then masked := Ps.add !masked lane
-            else if Reexec.overshadow_candidate e ~slot ~corrupt then
-              overshadow := Ps.add !overshadow lane
-          | Reexec.Rmem (addr', v', _), Reexec.Rmem (addr, v, _) ->
-            if addr' <> addr then divergent := Ps.add !divergent lane
-            else if Bitval.equal v' v then masked := Ps.add !masked lane
-          | _, _ -> invalid_arg "Masking.analyze_all: output shape mismatch"
-        done;
-        mk ~masked:!masked ~crash:!crash ~traps:(List.rev !traps)
-          ~divergent:!divergent ~overshadow:!overshadow ()
-    in
-    let wreg = match e.write with Event.Wreg _ -> true | _ -> false in
-    let bits_of i = (e.reads.(i).Event.value : Bitval.t).Bitval.bits in
-    let same_width i =
-      (e.reads.(i).Event.value : Bitval.t).Bitval.width = width
-    in
-    match e.instr with
-    | I.Ibin (_, op, ty, _, _)
-      when wreg
-           && Array.length e.reads = 2
-           && Moard_ir.Types.width ty = width
-           && same_width (1 - slot) -> (
-      let other = bits_of (1 - slot) in
-      match op with
-      | I.And -> mk ~masked:(band_masked ~other) ()
-      | I.Or -> mk ~masked:(bor_masked ~other) ()
-      | I.Xor -> mk ~masked:(bxor_masked ()) ()
-      | I.Add | I.Sub ->
-        mk
-          ~masked:(addsub_masked ())
-          ~overshadow:(addsub_overshadow ~other)
-          ()
-      | I.Mul -> mk ~masked:(mul_masked ~other) ()
-      | (I.Shl | I.Lshr | I.Ashr) when slot = 0 ->
-        (* The clean shift amount, normalized exactly as Semantics.ibin
-           and Semantics.shift_result do: any amount outside
-           [0, bits_in width) yields the constant out-of-range result. *)
-        let a64 = Bitval.to_int64 e.reads.(1).Event.value in
-        let amount =
-          if
-            Int64.compare a64 0L < 0
-            || Int64.compare a64 (Int64.of_int (Bitval.bits_in width)) >= 0
-          then -1
-          else Int64.to_int a64
-        in
-        (match op with
-        | I.Shl -> mk ~masked:(shl_value_masked ~amount) ()
-        | I.Lshr -> mk ~masked:(lshr_value_masked ~amount) ()
-        | _ -> mk ~masked:(ashr_value_masked ~amount) ())
-      | I.Shl | I.Lshr | I.Ashr | I.Sdiv | I.Srem ->
-        (* Corrupted shift amounts and division (where the certain traps
-           arise): per-lane direct kernel. *)
-        direct ())
-    | I.Icmp (_, (I.Ieq | I.Ine), _, _, _)
-      when wreg && Array.length e.reads = 2 && same_width (1 - slot) ->
-      mk ~masked:(eq_masked ~b:(bits_of (1 - slot))) ()
-    | I.Cast (_, I.Trunc_to_i32, _) when wreg ->
-      mk ~masked:(trunc_masked ()) ()
-    | I.Cast
-        (_, (I.Sext_to_i64 | I.Zext_to_i64 | I.Bitcast_f_to_i
-            | I.Bitcast_i_to_f), _)
-      when wreg ->
-      (* extensions and bitcasts are injective in the operand bits *)
-      mk ()
-    | I.Gep (_, _, _, scale) when wreg && width = Bitval.W64 ->
-      if slot = 1 then
-        (* index: the product index*scale moves by ±2^tz(m)·odd·scale *)
-        mk ~masked:(mul_masked ~other:(Int64.of_int scale)) ()
-      else
-        (* base: the address moves by a nonzero delta — never masked *)
-        mk ~masked:(addsub_masked ()) ()
-    | I.Select _ when wreg && Array.length e.reads = 3 ->
-      if slot = 0 then
-        if width = Bitval.W1 then
-          if Bitval.equal e.reads.(1).Event.value e.reads.(2).Event.value then
-            mk ~masked:(Ps.full_n ~n) ()
-          else mk ()
-        else direct ()
-      else
-        let chosen = Bitval.to_bool e.reads.(0).Event.value in
-        if (slot = 1) = chosen then mk () else mk ~masked:(Ps.full_n ~n) ()
-    | I.Store _
-      when slot = 0
-           && (match e.write with Event.Wmem _ -> true | _ -> false) ->
-      (* The stored value always changes. The address operand (slot 1)
-         takes the direct kernel for the address-truncation edge case. *)
-      mk ()
-    | I.Cbr (_, l1, l2) when width = Bitval.W1 ->
-      if l1 = l2 then mk ~masked:(Ps.full_n ~n) ()
-      else mk ~divergent:(Ps.full_n ~n) ()
-    | _ -> direct ())
+    match kernel_of e ~slot with
+    | None -> scan ~model e kind ~width ~n ~mask_kind
+    | Some k ->
+      let clean = Reexec.clean_out e
+      and a = (e.reads.(slot).Event.value : Bitval.t).Bitval.bits in
+      collect ~width ~model ~n ~mask_kind (fun lane ->
+          let corrupt =
+            Bitval.make width
+              (Int64.logxor a (Errmodel.flip_mask model width lane))
+          in
+          classify e ~slot ~clean ~corrupt (k corrupt)))
 
-let pattern_of_lane ?(model = Errmodel.Single_bit) (e : Event.t)
-    (kind : Consume.kind) lane =
-  let width =
-    match kind with
-    | Consume.Store_dest -> (
-      match e.instr with
-      | I.Store (ty, _, _) -> Moard_ir.Types.width ty
-      | _ ->
-        invalid_arg "Masking.pattern_of_lane: store destination of a non-store")
-    | Consume.Read { slot } -> (e.reads.(slot).Event.value : Bitval.t).width
-  in
-  Errmodel.pattern_at model width lane
-
-let changed_out_at ?model (e : Event.t) kind ~lane =
-  match analyze e kind (pattern_of_lane ?model e kind lane) with
+let changed_out_at ?(model = Errmodel.Single_bit) (e : Event.t) kind ~lane =
+  match analyze e kind (Errmodel.pattern_at model (site_width e kind) lane) with
   | Changed { out; overshadow } -> (out, overshadow)
   | Masked _ | Crash_certain _ | Divergent ->
     invalid_arg "Masking.changed_out_at: not a changed lane"
@@ -384,7 +222,4 @@ let changed_out_at ?model (e : Event.t) kind ~lane =
 let trap_of_lane v lane =
   match List.assoc_opt lane v.traps with
   | Some t -> t
-  | None -> (
-    match v.trap with
-    | Some t -> t
-    | None -> invalid_arg "Masking.trap_of_lane: lane not in the crash set")
+  | None -> invalid_arg "Masking.trap_of_lane: lane not in the crash set"

@@ -7,13 +7,13 @@
 
     Two entry points answer the same question: {!analyze} for one pattern
     (the scalar oracle), and {!analyze_all} for a whole error-model
-    pattern set of a site at once, using the closed-form mask algebra of
-    {!Moard_bits.Patternset} where an opcode admits one and a per-lane
-    direct kernel — the opcode's own {!Moard_vm.Semantics}, one call per
-    lane, no generic re-execution — where it does not. Every consuming
-    opcode has one of the two, so the per-pattern scalar walk survives
-    solely as the differential oracle; {!scan_executions} counts the
-    (never expected) last-resort falls into it. *)
+    pattern set of a site at once. The batched one runs a per-lane
+    kernel: the consuming opcode's own {!Moard_vm.Semantics}, one call
+    per lane with the corrupted operand in its slot, classified by the
+    same rule as {!analyze}. Every consuming opcode has a kernel, so the
+    per-pattern scalar walk survives solely as the differential oracle;
+    {!scan_executions} counts the (never expected) last-resort falls into
+    it. *)
 
 type t =
   | Masked of Verdict.kind
@@ -58,9 +58,6 @@ type verdicts = {
   masked : Moard_bits.Patternset.t;
   mask_kind : Verdict.kind;  (** kind shared by every masked lane *)
   crash : Moard_bits.Patternset.t;
-  trap : Moard_vm.Trap.t option;
-      (** the trap of the lowest crashing lane, kept for compatibility;
-          {!trap_of_lane} gives the exact per-lane trap *)
   traps : (int * Moard_vm.Trap.t) list;
       (** per-lane traps of the crash set, ascending lane order *)
   divergent : Moard_bits.Patternset.t;
@@ -79,13 +76,6 @@ val analyze_all :
 val trap_of_lane : verdicts -> int -> Moard_vm.Trap.t
 (** The trap of one lane of the crash set.
     @raise Invalid_argument if the lane is not in the crash set. *)
-
-val pattern_of_lane :
-  ?model:Moard_bits.Errmodel.t ->
-  Moard_trace.Event.t -> Moard_trace.Consume.kind -> int ->
-  Moard_bits.Pattern.t
-(** The pattern of one verdict lane at this site: the model instantiated
-    at the site's operand width. *)
 
 val changed_out_at :
   ?model:Moard_bits.Errmodel.t ->

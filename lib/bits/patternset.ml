@@ -1,14 +1,13 @@
 type t = int64
 
 let empty = 0L
-
-let width_mask = function
-  | Bitval.W1 -> 1L
-  | Bitval.W32 -> 0xFFFF_FFFFL
-  | Bitval.W64 -> -1L
-
-let full ~width = width_mask width
 let bit i = Int64.shift_left 1L i
+
+let full_n ~n =
+  if n <= 0 then empty
+  else if n >= 64 then -1L
+  else Int64.sub (bit n) 1L
+
 let singleton i = bit i
 let mem s i = not (Int64.equal (Int64.logand s (bit i)) 0L)
 let add s i = Int64.logor s (bit i)
@@ -48,169 +47,3 @@ let to_bits s = List.rev (fold (fun i acc -> i :: acc) s [])
 let pp ppf s =
   Format.fprintf ppf "{%s}"
     (String.concat "," (List.map string_of_int (to_bits s)))
-
-(* ------------------------------------------------------------------ *)
-(* Closed-form masked-sets (derivations: DESIGN.md §11).               *)
-
-let band_masked ~other ~width =
-  Int64.logand (Int64.lognot other) (width_mask width)
-
-let bor_masked ~other ~width = Int64.logand other (width_mask width)
-let bxor_masked ~width:_ = empty
-let addsub_masked ~width:_ = empty
-
-let trailing_zeros ~width x =
-  let w = Bitval.bits_in width in
-  let m = Int64.logand x (width_mask width) in
-  if Int64.equal m 0L then w else lowest m
-
-let mul_masked ~other ~width =
-  let w = Bitval.bits_in width in
-  let tz = trailing_zeros ~width other in
-  if tz = 0 then empty
-  else if tz >= w then full ~width
-  else
-    (* bit positions w-tz .. w-1 *)
-    Int64.logand
-      (Int64.shift_left (full ~width) (w - tz))
-      (width_mask width)
-
-let top_bits ~width n =
-  let w = Bitval.bits_in width in
-  if n <= 0 then empty
-  else if n >= w then full ~width
-  else Int64.logand (Int64.shift_left (full ~width) (w - n)) (width_mask width)
-
-let low_bits ~width n =
-  let w = Bitval.bits_in width in
-  if n <= 0 then empty
-  else if n >= w then full ~width
-  else Int64.sub (bit n) 1L
-
-let shl_value_masked ~amount ~width =
-  let w = Bitval.bits_in width in
-  if amount < 0 || amount >= w then full ~width
-  else top_bits ~width amount
-
-let lshr_value_masked ~amount ~width =
-  let w = Bitval.bits_in width in
-  if amount < 0 || amount >= w then full ~width
-  else low_bits ~width amount
-
-let ashr_value_masked ~amount ~width =
-  let w = Bitval.bits_in width in
-  if amount < 0 || amount >= w then
-    (* Constant sign replication: only the sign bit still matters. *)
-    remove (full ~width) (w - 1)
-  else low_bits ~width amount
-
-let eq_masked ~a ~b ~width =
-  let d = Int64.logand (Int64.logxor a b) (width_mask width) in
-  if Int64.equal d 0L then empty
-  else if Int64.equal (Int64.logand d (Int64.sub d 1L)) 0L then
-    (* one differing bit: only flipping it changes the verdict *)
-    diff (full ~width) d
-  else full ~width
-
-let trunc_masked ~width = top_bits ~width (Bitval.bits_in width - 32)
-
-(* ------------------------------------------------------------------ *)
-(* Lane-generalized closed forms (derivations: DESIGN.md §13).         *)
-(* [flips.(lane)] is the XOR image of lane [lane]'s pattern; a set bit *)
-(* [lane] of the result means "lane [lane]'s pattern is masked". With  *)
-(* the single-bit model, [flips.(i) = bit i] and each form degenerates *)
-(* to its single-bit counterpart above.                                *)
-
-let full_n ~n =
-  if n <= 0 then empty
-  else if n >= 64 then -1L
-  else Int64.sub (bit n) 1L
-
-let of_lanes ~n f =
-  let s = ref empty in
-  for i = 0 to n - 1 do
-    if f i then s := add !s i
-  done;
-  !s
-
-let of_flips flips f = of_lanes ~n:(Array.length flips) (fun i -> f flips.(i))
-
-let band_masked_m ~flips ~other ~width =
-  let o = Int64.logand other (width_mask width) in
-  of_flips flips (fun m -> Int64.equal (Int64.logand m o) 0L)
-
-let bor_masked_m ~flips ~other ~width =
-  (* masked iff every flipped bit is already set in [other] *)
-  let o = Int64.logand other (width_mask width) in
-  of_flips flips (fun m -> Int64.equal (Int64.logand m (Int64.lognot o)) 0L)
-
-let mul_masked_m ~flips ~other ~width =
-  (* delta = (a lxor m) - a = ±2^tz(m)·odd, so delta·other ≡ 0 mod 2^w
-     iff tz(m) + tz(other) >= w *)
-  let w = Bitval.bits_in width in
-  let tzo = trailing_zeros ~width other in
-  of_flips flips (fun m -> trailing_zeros ~width m + tzo >= w)
-
-let shl_value_masked_m ~flips ~amount ~width =
-  let w = Bitval.bits_in width in
-  if amount < 0 || amount >= w then full_n ~n:(Array.length flips)
-  else
-    of_flips flips (fun m ->
-        Int64.equal
-          (Int64.logand (Int64.shift_left m amount) (width_mask width))
-          0L)
-
-let lshr_value_masked_m ~flips ~amount ~width =
-  let w = Bitval.bits_in width in
-  if amount < 0 || amount >= w then full_n ~n:(Array.length flips)
-  else
-    of_flips flips (fun m ->
-        Int64.equal (Int64.shift_right_logical m amount) 0L)
-
-let ashr_value_masked_m ~flips ~amount ~width =
-  let w = Bitval.bits_in width in
-  if amount < 0 || amount >= w then
-    (* constant sign replication: masked iff the sign bit is untouched *)
-    let sign = bit (w - 1) in
-    of_flips flips (fun m -> Int64.equal (Int64.logand m sign) 0L)
-  else
-    of_flips flips (fun m ->
-        Int64.equal (Int64.shift_right_logical m amount) 0L)
-
-let eq_masked_m ~flips ~a ~b ~width =
-  let d = Int64.logand (Int64.logxor a b) (width_mask width) in
-  if Int64.equal d 0L then empty
-  else of_flips flips (fun m -> not (Int64.equal m d))
-
-let trunc_masked_m ~flips ~width:_ =
-  of_flips flips (fun m -> Int64.equal (Int64.logand m 0xFFFF_FFFFL) 0L)
-
-let addsub_masked_m ~flips ~width:_ =
-  (* m <> 0 means (a lxor m) <> a, and the sum moves by that nonzero
-     delta mod 2^w — never masked *)
-  ignore flips;
-  empty
-
-let addsub_overshadow_m ~flips ~a ~other ~width =
-  let o = Int64.abs (Bitval.to_int64 (Bitval.make width other)) in
-  of_flips flips (fun m ->
-      let c =
-        Int64.abs (Bitval.to_int64 (Bitval.make width (Int64.logxor a m)))
-      in
-      Int64.compare c o < 0)
-
-let addsub_overshadow ~a ~other ~width =
-  (* Mirrors Reexec.overshadow_candidate: sign-extend through Bitval,
-     compare magnitudes with Int64.abs (min_int stays negative, exactly
-     as the scalar oracle behaves). *)
-  let o = Int64.abs (Bitval.to_int64 (Bitval.make width other)) in
-  let s = ref empty in
-  let w = Bitval.bits_in width in
-  for i = 0 to w - 1 do
-    let c =
-      Int64.abs
-        (Bitval.to_int64 (Bitval.make width (Int64.logxor a (bit i))))
-    in
-    if Int64.compare c o < 0 then s := add !s i
-  done;
-  !s

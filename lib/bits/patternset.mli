@@ -6,17 +6,16 @@
     the operand" ({!Pattern.Single}[ i]), the historical reading.
 
     The batched masking kernel ({!Moard_analysis.Masking.analyze_all})
-    classifies all patterns of a consumption site in O(1) word operations
-    where the paper's operation-level rules admit a closed form. Those
-    closed forms live here as pure functions of the raw operand words, so
-    they can be unit-tested against bit-by-bit enumeration without any IR
-    or trace machinery. *)
+    returns its per-lane verdicts as disjoint sets of this type, and the
+    replay, resolver and aDVF accumulation consume them with the word
+    operations below. *)
 
 type t = int64
 
 val empty : t
-val full : width:Bitval.width -> t
-(** The low [bits_in width] bits set: every valid single-bit pattern. *)
+
+val full_n : n:int -> t
+(** The low [n] lanes set: every pattern of an [n]-lane model. *)
 
 val singleton : int -> t
 val mem : t -> int -> bool
@@ -45,119 +44,3 @@ val to_bits : t -> int list
 (** Members, ascending. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 Closed-form masked-sets}
-
-    Each function answers: for which flipped bit positions [i] does the
-    operation's result not change at all?  Arguments are the *clean*
-    operand words, already masked to the operation's width; the returned
-    set is a subset of [full ~width].  Derivations are documented in
-    DESIGN.md §11. *)
-
-val band_masked : other:int64 -> width:Bitval.width -> t
-(** [x land other]: a flip of bit [i] of [x] vanishes iff [other] has
-    bit [i] clear — the masked set is [lnot other]. *)
-
-val bor_masked : other:int64 -> width:Bitval.width -> t
-(** [x lor other]: masked iff [other] has bit [i] set. *)
-
-val bxor_masked : width:Bitval.width -> t
-(** [x lxor other]: never masked — always {!empty}. *)
-
-val addsub_masked : width:Bitval.width -> t
-(** [x + y] and [x - y] mod 2^w: a flip of bit [i] moves the sum by
-    [±2^i mod 2^w <> 0] — always {!empty}. *)
-
-val mul_masked : other:int64 -> width:Bitval.width -> t
-(** [x * y] mod 2^w: flipping bit [i] moves the product by
-    [±2^i·y mod 2^w], zero iff [i >= w - trailing_zeros(y)] — the top
-    [trailing_zeros(other)] bit positions (all of them when [other = 0]). *)
-
-val shl_value_masked : amount:int -> width:Bitval.width -> t
-(** [x << amount] with a valid in-range amount: the top [amount] bits of
-    [x] are discarded. Out-of-range amounts yield a constant result, so
-    every flip of [x] is masked. *)
-
-val lshr_value_masked : amount:int -> width:Bitval.width -> t
-(** [x >>> amount] (logical): the low [amount] bits are discarded; an
-    out-of-range amount yields constant zero — all masked. *)
-
-val ashr_value_masked : amount:int -> width:Bitval.width -> t
-(** [x >> amount] (arithmetic): the low [amount] bits are discarded; an
-    out-of-range amount replicates the sign bit, so everything except the
-    sign bit is masked. *)
-
-val eq_masked : a:int64 -> b:int64 -> width:Bitval.width -> t
-(** [x == y] / [x != y]: let [d = a lxor b] within the width. If [d = 0]
-    any flip breaks equality (empty); if [d] has exactly one set bit only
-    that flip restores equality (all but that bit); otherwise no single
-    flip can change the verdict (full). *)
-
-val trunc_masked : width:Bitval.width -> t
-(** Truncation of a [width]-bit word to 32 bits: bits 32..63 discarded. *)
-
-val addsub_overshadow : a:int64 -> other:int64 -> width:Bitval.width -> t
-(** Integer add/sub overshadow candidates (paper §IV): flips [i] of [a]
-    for which [|sext(a lxor 2^i)| < |sext(other)|] — the corrupted
-    operand's magnitude stays below the other operand's, so the error is
-    a candidate for value overshadowing. Matches
-    {!Moard_analysis.Reexec.overshadow_candidate} bit for bit (including
-    its [Int64.abs min_int] behaviour). *)
-
-(** {2 Lane-generalized closed forms}
-
-    The same algebra restated on arbitrary flip masks: [flips.(lane)] is
-    the XOR image of lane [lane]'s pattern ({!Errmodel.flip_mask}), and a
-    set bit [lane] of the result means that lane's whole pattern is
-    masked. With the single-bit model ([flips.(i) = 2^i]) each form
-    degenerates bit-for-bit to its single-bit counterpart above, which the
-    differential test suite checks by enumeration. Derivations are in
-    DESIGN.md §13. *)
-
-val full_n : n:int -> t
-(** The low [n] lanes set: every pattern of an [n]-lane model. *)
-
-val of_lanes : n:int -> (int -> bool) -> t
-(** Build a set from a per-lane predicate, lanes [0..n-1]. *)
-
-val band_masked_m : flips:int64 array -> other:int64 -> width:Bitval.width -> t
-(** [x land other]: masked iff no flipped bit survives [other]. *)
-
-val bor_masked_m : flips:int64 array -> other:int64 -> width:Bitval.width -> t
-(** [x lor other]: masked iff every flipped bit is already set in
-    [other]. *)
-
-val mul_masked_m : flips:int64 array -> other:int64 -> width:Bitval.width -> t
-(** [x * y] mod 2^w: the value moves by [±2^tz(m)·odd·y], zero mod 2^w
-    iff [tz(m) + tz(y) >= w]. *)
-
-val shl_value_masked_m :
-  flips:int64 array -> amount:int -> width:Bitval.width -> t
-
-val lshr_value_masked_m :
-  flips:int64 array -> amount:int -> width:Bitval.width -> t
-
-val ashr_value_masked_m :
-  flips:int64 array -> amount:int -> width:Bitval.width -> t
-(** Shifts by a clean in-range amount: masked iff every flipped bit is
-    discarded by the shift; out-of-range amounts yield a constant result
-    (all masked), except arithmetic shifts, where only the sign bit still
-    matters. *)
-
-val eq_masked_m :
-  flips:int64 array -> a:int64 -> b:int64 -> width:Bitval.width -> t
-(** [x == y] / [x != y] with [d = a lxor b]: if [d = 0] any pattern
-    breaks equality; otherwise a pattern is masked iff [m <> d] (only the
-    exact difference image can restore equality). *)
-
-val trunc_masked_m : flips:int64 array -> width:Bitval.width -> t
-(** Truncation to 32 bits: masked iff no flipped bit lies in the low
-    32. *)
-
-val addsub_masked_m : flips:int64 array -> width:Bitval.width -> t
-(** Always {!empty}: a nonzero flip mask moves the sum. *)
-
-val addsub_overshadow_m :
-  flips:int64 array -> a:int64 -> other:int64 -> width:Bitval.width -> t
-(** Per-lane overshadow candidacy, the lane generalization of
-    {!addsub_overshadow}. *)

@@ -145,7 +145,7 @@ let stop_state (plan : Plan.t) (po : Plan.objective) st =
    domains=1 ≡ domains=N guarantee.
 
    With [batch] on, the jobs of a batch are grouped by consumption site and
-   each group goes through one bit-parallel kernel sweep ({!Resolve.site}
+   each group goes through one batched kernel sweep ({!Resolve.site}
    restricted to the sampled bits), which executes the workload only for
    the bits the kernel cannot decide. Outcomes — and hence codes, journal
    records and every statistic — are identical to per-job injection; only

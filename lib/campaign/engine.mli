@@ -97,7 +97,7 @@ val run :
     batch's distinct injections on {!Moard_inject.Exec.run}; the count is
     used as given (a caller taking it from outside clamps it with
     {!Moard_inject.Exec.cap_domains}). [batch] (default
-    [true]) resolves each site's sampled bits through the bit-parallel
+    [true]) resolves each site's sampled bits through the batched masking
     kernel ({!Moard_inject.Resolve.site}), executing the workload only for
     the bits it cannot decide; outcome codes, journal contents and every
     count/estimate in the result are identical either way (the [runs] /

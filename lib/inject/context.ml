@@ -117,11 +117,14 @@ let make (w : Workload.t) =
     buf = Moard_vm.Memory.copy (Machine.image machine);
   }
 
-(* Shards run on different domains, so each owns its run buffer. *)
+(* Shards run on different domains, so each owns its run buffer. Many
+   never touch the outcome table (`Model.analyze` injects through
+   {!inject} and keeps its own memo), so it starts small and grows on
+   demand. *)
 let shard t =
   {
     t with
-    cache = Hashtbl.create 4096;
+    cache = Hashtbl.create 16;
     runs = 0;
     hits = 0;
     ckpt = None;

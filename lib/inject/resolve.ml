@@ -9,12 +9,9 @@ module Vreplay = Moard_analysis.Vreplay
 let outputs_of ctx =
   List.map (Context.object_of ctx) (Context.workload ctx).Workload.outputs
 
-let verdicts_of ?model ctx (s : Consume.t) =
-  let e = Tape.get (Context.tape ctx) s.Consume.event_idx in
-  (e, Masking.analyze_all ?model e s.Consume.kind)
-
 let site ?(model = Errmodel.Single_bit) ?lanes ctx (s : Consume.t) =
-  let e, v = verdicts_of ~model ctx s in
+  let e = Tape.get (Context.tape ctx) s.Consume.event_idx in
+  let v = Masking.analyze_all ~model e s.Consume.kind in
   let n = v.Masking.lanes in
   let wanted =
     match lanes with None -> Ps.full_n ~n | Some b -> b
@@ -67,31 +64,3 @@ let site ?(model = Errmodel.Single_bit) ?lanes ctx (s : Consume.t) =
           (Errmodel.pattern_at model v.Masking.width b))
     pending;
   out
-
-let analytic_bits ?(model = Errmodel.Single_bit) ctx (s : Consume.t) =
-  let e, v = verdicts_of ~model ctx s in
-  let n = v.Masking.lanes in
-  let analytic = ref (Ps.count v.Masking.masked + Ps.count v.Masking.crash) in
-  if not (Ps.is_empty v.Masking.changed) then begin
-    let seeds =
-      Ps.fold
-        (fun b acc ->
-          (b, fst (Masking.changed_out_at ~model e s.Consume.kind ~lane:b)) :: acc)
-        v.Masking.changed []
-    in
-    let fates =
-      Vreplay.run ~gmem:(Context.gmem ctx) ~tape:(Context.tape ctx)
-        ~outputs:(outputs_of ctx) ~start:s.Consume.event_idx ~seeds ()
-    in
-    Ps.iter
-      (fun b ->
-        match fates.(b) with
-        | Vreplay.Same | Vreplay.Trap _ -> incr analytic
-        | Vreplay.Outputs patches -> (
-          match Context.classify_patched ctx patches with
-          | Some _ -> incr analytic
-          | None -> ())
-        | Vreplay.Unknown -> ())
-      v.Masking.changed
-  end;
-  (!analytic, n)

@@ -23,10 +23,3 @@ val site :
     set) restricts resolution to a subset — the campaign engine's sampled
     lanes — so no work (in particular no fallback injection) is spent on
     lanes outside it; entries outside [lanes] are meaningless. *)
-
-val analytic_bits :
-  ?model:Moard_bits.Errmodel.t ->
-  Context.t -> Moard_trace.Consume.t -> int * int
-(** [(analytic, total)] lane counts of the site: how many of its
-    patterns the batched kernel decides without running the workload
-    (instrumentation for benchmarks and logs; performs no injections). *)

@@ -110,7 +110,7 @@ val run :
 (** Train one campaign per [(size, workload)] pair and extrapolate to
     [target]. Defaults match {!Moard_campaign.Plan.make}: single-bit
     model, seed 42, confidence 0.95, ci_width 0.02, no sample cap;
-    [domains] defaults to 1, [batch] (bit-parallel resolution) to [true]
+    [domains] defaults to 1, [batch] (batched resolution) to [true]
     — neither changes a single byte of the result. A training size where
     the object has no fault sites counts as a zero-population
     observation, not an error. If a target size happens to equal a

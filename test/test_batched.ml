@@ -1,11 +1,12 @@
-(* The bit-parallel masking kernel and everything built on it must agree
+(* The batched masking kernel and everything built on it must agree
    with the scalar oracle exactly.
 
    Three layers of differential checks:
-   - Masking.analyze_all against 64 scalar Masking.analyze calls, over a
-     QCheck-random program touching every integer opcode with a closed
-     form plus the fallback ones (floats, division, dynamic shifts,
-     comparisons feeding branches, geps, casts, stores);
+   - Masking.analyze_all against one scalar Masking.analyze call per
+     lane, over a QCheck-random program touching every opcode family of
+     the per-lane kernel (integer and float arithmetic, division, static
+     and dynamic shifts, comparisons feeding branches, geps, casts,
+     stores) at 64- and 32-bit operand widths;
    - Exhaustive.campaign with and without the kernel: identical outcome
      counts, near-zero real executions batched;
    - Model.analyze and Engine.run with and without the kernel: identical
@@ -33,10 +34,12 @@ let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 (* One program consuming the traced globals through (nearly) every opcode
-   the kernel special-cases, plus representatives of the fallback family.
-   [x]/[y] drive the integer ops, [xf]/[yf] the float ops, [sh] the
-   static shift amounts (including out-of-range), [idx] an in-bounds
-   element index consumed by a gep. *)
+   the per-lane kernel evaluates. [x]/[y] drive the integer ops, [xf]/[yf]
+   the float ops, [sh] the static shift amounts (including out-of-range),
+   [idx] an in-bounds element index consumed by a gep. The i32 global
+   [g32] (initialized from the low word of [x]) is read once and written
+   once: its sign-extending load is a W32 read site and its store a W32
+   store destination. *)
 let prog ~x ~y ~xf ~yf ~sh ~idx =
   let ynz = if Int64.equal y 0L then 1L else y in
   let open Ast.Dsl in
@@ -45,6 +48,7 @@ let prog ~x ~y ~xf ~yf ~sh ~idx =
       garr_i64_init "g" [| x |];
       garr_f64_init "gf" [| xf |];
       garr_i64_init "ix" [| Int64.of_int idx |];
+      garr_i32_init "g32" [| Int64.to_int32 x |];
       garr_f64_init "arr" [| 1.0; 2.0; 3.0; 4.0 |];
       garr_i64 "oi" 12;
       garr_i32 "o32" 1;
@@ -62,7 +66,7 @@ let prog ~x ~y ~xf ~yf ~sh ~idx =
           ("oi".%(i 6) <- "g".%(i 0) lsl i sh);
           ("oi".%(i 7) <- "g".%(i 0) lsr i sh);
           ("oi".%(i 8) <- "g".%(i 0) asr i sh);
-          (* dynamic shift amount: slot-1 consumption, scalar fallback *)
+          (* dynamic shift amount: slot-1 consumption *)
           ("oi".%(i 9) <- i64 y lsl ("g".%(i 0) land i 63));
           ("oi".%(i 10) <- "g".%(i 0) / i64 ynz);
           ("oi".%(i 11) <- "g".%(i 0) % i64 ynz);
@@ -79,6 +83,7 @@ let prog ~x ~y ~xf ~yf ~sh ~idx =
           ("ofl".%(i 3) <- v "acc");
           ("ofl".%(i 4) <- to_f ("g".%(i 0)));
           ("ofl".%(i 5) <- "gf".%(i 0) - f yf);
+          ("g32".%(i 0) <- "g32".%(i 0) + i64 y);
           ret_void;
         ];
     ]
@@ -90,7 +95,7 @@ let pp_verdict = function
   | Masking.Divergent -> "divergent"
 
 (* analyze_all must agree with the scalar oracle on every lane of every
-   read site, for every error model: same classification, same mask kind,
+   site, for every error model: same classification, same mask kind,
    same per-lane trap, and the same Changed payload (output value and
    overshadow flag). *)
 let check_site ~model tape (s : Consume.t) =
@@ -178,19 +183,24 @@ let kernel_vs_oracle =
         gen_inputs
         (fun (x, y, xf, yf, sh, idx) ->
           let m, tape = prog ~x ~y ~xf ~yf ~sh ~idx in
+          let scan0 = Masking.scan_executions () in
           let checked = ref 0 in
           List.iter
             (fun g ->
               List.iter
                 (fun s ->
-                  if is_read s then begin
-                    check_site ~model tape s;
-                    incr checked
-                  end)
+                  check_site ~model tape s;
+                  incr checked)
                 (sites m tape g))
-            [ "g"; "gf"; "ix" ];
-          (* the program consumes every traced global many times *)
-          !checked > 10))
+            [ "g"; "gf"; "ix"; "g32" ];
+          (* the program consumes every traced global many times, g32
+             at a W32 read site and a W32 store destination, and every
+             site is classified by the kernel alone *)
+          let w32 = List.map (fun s -> (s.Consume.width, is_read s)) (sites m tape "g32") in
+          !checked > 10
+          && List.mem (B.W32, true) w32
+          && List.mem (B.W32, false) w32
+          && Masking.scan_executions () = scan0))
     Errmodel.all
 
 (* ---- end-to-end differentials on a small self-contained workload ---- *)

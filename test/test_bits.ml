@@ -128,49 +128,17 @@ let pattern_prop =
         abs (B.popcount v' - B.popcount v) <= len);
   ]
 
-(* ---- Patternset: the bit-parallel kernel's set algebra and closed
-   forms, checked against bit-by-bit reference semantics. ---- *)
+(* ---- Patternset: the lane-set algebra of the batched kernel. ---- *)
 
 module Ps = Patternset
-
-let wmask w =
-  if B.bits_in w = 64 then -1L
-  else Int64.sub (Int64.shift_left 1L (B.bits_in w)) 1L
-
-let trunc w x = Int64.logand x (wmask w)
-
-let sext w x =
-  let n = B.bits_in w in
-  if n = 64 then x
-  else Int64.shift_right (Int64.shift_left x (64 - n)) (64 - n)
-
-let flip w x i = trunc w (Int64.logxor x (Int64.shift_left 1L i))
-
-(* The reference question every closed form answers: does flipping bit [i]
-   of [x] leave [op x] unchanged? *)
-let ref_masked w op x =
-  let r0 = op x in
-  List.fold_left
-    (fun acc i -> if op (flip w x i) = r0 then Ps.add acc i else acc)
-    Ps.empty
-    (List.init (B.bits_in w) Fun.id)
-
-let gen_width = QCheck2.Gen.oneofl [ B.W32; B.W64 ]
-
-let gen_word w =
-  QCheck2.Gen.(map (fun x -> trunc w x) (oneof [ int64; oneofl [ 0L; 1L; -1L; Int64.min_int ] ]))
-
-let gen_w_pair =
-  QCheck2.Gen.(
-    gen_width >>= fun w ->
-    pair (gen_word w) (gen_word w) >|= fun (a, b) -> (w, a, b))
 
 let patternset_unit =
   [
     Alcotest.test_case "full has width bits, empty none" `Quick (fun () ->
-        check tint "w64" 64 (Ps.count (Ps.full ~width:B.W64));
-        check tint "w32" 32 (Ps.count (Ps.full ~width:B.W32));
-        check tint "w1" 1 (Ps.count (Ps.full ~width:B.W1));
+        let full w = Ps.full_n ~n:(B.bits_in w) in
+        check tint "w64" 64 (Ps.count (full B.W64));
+        check tint "w32" 32 (Ps.count (full B.W32));
+        check tint "w1" 1 (Ps.count (full B.W1));
         check tint "empty" 0 (Ps.count Ps.empty));
     Alcotest.test_case "set algebra" `Quick (fun () ->
         let a = Ps.add (Ps.add Ps.empty 3) 7 in
@@ -192,90 +160,6 @@ let patternset_unit =
           (Alcotest.list tint)
           "fold" [ 42; 17; 0 ]
           (Ps.fold (fun i acc -> i :: acc) s []));
-    Alcotest.test_case "closed-form edge cases" `Quick (fun () ->
-        (* mul by zero: constant result, everything masked *)
-        check tbool "mul by 0" true
-          (Ps.equal (Ps.full ~width:B.W64) (Ps.mul_masked ~other:0L ~width:B.W64));
-        (* out-of-range logical shift: constant zero *)
-        check tbool "oob lshr" true
-          (Ps.equal (Ps.full ~width:B.W64)
-             (Ps.lshr_value_masked ~amount:(-1) ~width:B.W64));
-        (* out-of-range arithmetic shift: only the sign bit survives *)
-        check tint "oob ashr" 63
-          (Ps.count (Ps.ashr_value_masked ~amount:64 ~width:B.W64));
-        (* equal words: any flip breaks equality *)
-        check tbool "eq of equal" true
-          (Ps.is_empty (Ps.eq_masked ~a:5L ~b:5L ~width:B.W64)));
-  ]
-
-let patternset_prop =
-  [
-    qtest "band closed form = reference" gen_w_pair (fun (w, a, other) ->
-        Ps.equal
-          (Ps.band_masked ~other ~width:w)
-          (ref_masked w (fun x -> Int64.logand x other) a));
-    qtest "bor closed form = reference" gen_w_pair (fun (w, a, other) ->
-        Ps.equal
-          (Ps.bor_masked ~other ~width:w)
-          (ref_masked w (fun x -> Int64.logor x other) a));
-    qtest "bxor never masks" gen_w_pair (fun (w, a, other) ->
-        Ps.equal (Ps.bxor_masked ~width:w)
-          (ref_masked w (fun x -> trunc w (Int64.logxor x other)) a));
-    qtest "add/sub never mask" gen_w_pair (fun (w, a, other) ->
-        Ps.equal (Ps.addsub_masked ~width:w)
-          (ref_masked w (fun x -> trunc w (Int64.add x other)) a)
-        && Ps.equal (Ps.addsub_masked ~width:w)
-             (ref_masked w (fun x -> trunc w (Int64.sub x other)) a));
-    qtest "mul closed form = reference" gen_w_pair (fun (w, a, other) ->
-        Ps.equal (Ps.mul_masked ~other ~width:w)
-          (ref_masked w (fun x -> trunc w (Int64.mul x other)) a));
-    qtest "shl closed form = reference"
-      QCheck2.Gen.(
-        gen_width >>= fun w ->
-        pair (gen_word w) (int_bound (B.bits_in w - 1)) >|= fun (a, s) ->
-        (w, a, s))
-      (fun (w, a, s) ->
-        Ps.equal
-          (Ps.shl_value_masked ~amount:s ~width:w)
-          (ref_masked w (fun x -> trunc w (Int64.shift_left x s)) a));
-    qtest "lshr closed form = reference"
-      QCheck2.Gen.(
-        gen_width >>= fun w ->
-        pair (gen_word w) (int_bound (B.bits_in w - 1)) >|= fun (a, s) ->
-        (w, a, s))
-      (fun (w, a, s) ->
-        Ps.equal
-          (Ps.lshr_value_masked ~amount:s ~width:w)
-          (ref_masked w (fun x -> Int64.shift_right_logical (trunc w x) s) a));
-    qtest "ashr closed form = reference"
-      QCheck2.Gen.(
-        gen_width >>= fun w ->
-        pair (gen_word w) (int_bound (B.bits_in w - 1)) >|= fun (a, s) ->
-        (w, a, s))
-      (fun (w, a, s) ->
-        Ps.equal
-          (Ps.ashr_value_masked ~amount:s ~width:w)
-          (ref_masked w (fun x -> trunc w (Int64.shift_right (sext w x) s)) a));
-    qtest "eq closed form = reference" gen_w_pair (fun (w, a, b) ->
-        Ps.equal
-          (Ps.eq_masked ~a ~b ~width:w)
-          (ref_masked w (fun x -> if x = b then 1L else 0L) a));
-    qtest "trunc closed form = reference"
-      QCheck2.Gen.(map (trunc B.W64) int64)
-      (fun a ->
-        Ps.equal (Ps.trunc_masked ~width:B.W64)
-          (ref_masked B.W64 (fun x -> trunc B.W32 x) a));
-    qtest "overshadow candidates = reference" gen_w_pair (fun (w, a, other) ->
-        let reference =
-          List.fold_left
-            (fun acc i ->
-              if Int64.abs (sext w (flip w a i)) < Int64.abs (sext w other)
-              then Ps.add acc i
-              else acc)
-            Ps.empty
-            (List.init (B.bits_in w) Fun.id)
-        in
-        Ps.equal (Ps.addsub_overshadow ~a ~other ~width:w) reference);
   ]
 
 let suite =
@@ -285,5 +169,4 @@ let suite =
     ("bits.pattern", pattern_unit);
     ("bits.pattern.properties", pattern_prop);
     ("bits.patternset", patternset_unit);
-    ("bits.patternset.properties", patternset_prop);
   ]
