@@ -16,6 +16,12 @@ module Context = Moard_inject.Context
 module Registry = Moard_kernels.Registry
 module Errmodel = Moard_bits.Errmodel
 module Chart = Moard_report.Chart
+module Jsonx = Moard_server.Jsonx
+
+(* The constructors of the BENCH documents, unqualified. *)
+type json = Jsonx.t =
+  | Null | Bool of bool | Int of int | Float of float | Str of string
+  | Arr of json list | Obj of (string * json) list
 
 let section title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
@@ -480,23 +486,68 @@ let domains_skip_reason = "host has 1 recommended domain"
 let scaling_domains () =
   if single_core () then [ 1 ] else if !quick then [ 1; 2 ] else [ 1; 2; 4 ]
 
-(* Writes the domain-scaling array as the final key of the JSON object,
-   or the uniform skip annotation on a single-core host. [runs] pairs a
-   domain count with its wall clock; [t1] is the one-domain clock. *)
-let emit_domains_json oc ~key ~t1 runs =
+(* The domain-scaling table under [key], or the uniform skip annotation
+   on a single-core host. [runs] holds (domain count, wall clock, _),
+   one domain first. *)
+let domains_fields ~key runs =
   if single_core () then
-    Printf.fprintf oc "  %S: [],\n  \"campaign_domains_skipped\": %S\n" key
-      domains_skip_reason
+    [ (key, Arr []); ("campaign_domains_skipped", Str domains_skip_reason) ]
+  else
+    let _, t1, _ = List.hd runs in
+    let row (d, s, _) =
+      Obj [ ("domains", Int d); ("seconds", Float s);
+            ("speedup", Float (t1 /. s)) ]
+    in
+    [ (key, Arr (List.map row runs)) ]
+
+(* The exact image of a double, as the golden snapshots print it. *)
+let hex x = Str (Printf.sprintf "%h" x)
+
+(* A container of scalars prints on one line; any other puts each member
+   on its own line. A float prints as the shortest decimal that reads
+   back to the same double. *)
+let rec pretty indent v =
+  let inner = indent ^ "  " in
+  let group opn cls items =
+    let text (k, x) =
+      Option.fold ~none:"" ~some:(fun k -> Jsonx.to_string (Str k) ^ ": ") k
+      ^ pretty inner x
+    in
+    let texts = List.map text items in
+    let nested = function _, (Obj (_ :: _) | Arr (_ :: _)) -> true | _ -> false in
+    if List.exists nested items then
+      opn ^ "\n" ^ inner ^ String.concat (",\n" ^ inner) texts ^ "\n" ^ indent
+      ^ cls
+    else opn ^ String.concat ", " texts ^ cls
+  in
+  match v with
+  | Float x when Float.is_finite x ->
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p x in
+      if p = 17 || float_of_string s = x then s else go (p + 1)
+    in
+    go 1
+  | Float _ -> "null" (* JSON has no non-finite numbers *)
+  | Obj fs -> group "{" "}" (List.map (fun (k, x) -> (Some k, x)) fs)
+  | Arr xs -> group "[" "]" (List.map (fun x -> (None, x)) xs)
+  | scalar -> Jsonx.to_string scalar
+
+(* Every BENCH file: the target's fields under one common header. In
+   --quick mode (the CI smoke tests) the document goes to stdout and no
+   file is written. *)
+let write_bench file fields =
+  let text =
+    pretty ""
+      (Obj
+         (("host_cores", Int (host_cores ()))
+         :: ("version", Str Moard_server.Version.version)
+         :: ("quick", Bool !quick) :: fields))
+    ^ "\n"
+  in
+  if !quick then print_string text
   else begin
-    Printf.fprintf oc "  %S: [\n" key;
-    List.iteri
-      (fun i (d, s) ->
-        Printf.fprintf oc
-          "    { \"domains\": %d, \"seconds\": %.4f, \"speedup\": %.3f }%s\n"
-          d s (t1 /. s)
-          (if i = List.length runs - 1 then "" else ","))
-      runs;
-    Printf.fprintf oc "  ]\n"
+    Out_channel.with_open_text file (fun oc -> output_string oc text);
+    note "wrote %s" file
   end
 
 let pipeline () =
@@ -565,33 +616,16 @@ let pipeline () =
       host_cores;
   if goldens <> 1 then failwith "pipeline: golden run executed more than once";
   if not identical then failwith "pipeline: report drifted across domains";
-  if !quick then note "quick mode: not writing BENCH_pipeline.json"
-  else begin
-    let oc = open_out "BENCH_pipeline.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": %S,\n\
-      \  \"object\": %S,\n\
-      \  \"events\": %d,\n\
-      \  \"trace_seconds\": %.6f,\n\
-      \  \"events_per_sec\": %.0f,\n\
-      \  \"packed_bytes\": %d,\n\
-      \  \"boxed_bytes_estimate\": %d,\n\
-      \  \"packing_reduction\": %.3f,\n\
-      \  \"golden_executions\": %d,\n\
-      \  \"use_cache\": true,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"advf\": \"%h\",\n\
-      \  \"advf_decimal\": %.17g,\n\
-      \  \"report_bit_identical_across_domains\": %b,\n"
-      e.Registry.benchmark obj events !trace_s events_per_sec packed boxed
-      reduction goldens host_cores r1.Advf.advf r1.Advf.advf identical;
-    emit_domains_json oc ~key:"domains" ~t1
-      (List.map (fun (d, s, _) -> (d, s)) runs);
-    Printf.fprintf oc "}\n";
-    close_out oc;
-    note "wrote BENCH_pipeline.json"
-  end
+  write_bench "BENCH_pipeline.json"
+    ([ ("benchmark", Str e.Registry.benchmark); ("object", Str obj);
+       ("events", Int events); ("trace_seconds", Float !trace_s);
+       ("events_per_sec", Float events_per_sec); ("packed_bytes", Int packed);
+       ("boxed_bytes_estimate", Int boxed);
+       ("packing_reduction", Float reduction);
+       ("golden_executions", Int goldens); ("use_cache", Bool true);
+       ("advf", hex r1.Advf.advf); ("advf_decimal", Float r1.Advf.advf);
+       ("report_bit_identical_across_domains", Bool identical) ]
+    @ domains_fields ~key:"domains" runs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -640,7 +674,7 @@ let campaign () =
         (d, s, r))
       domain_counts
   in
-  let _, t1, r1 = List.hd runs in
+  let _, _, r1 = List.hd runs in
   let stable = Moard_report.Campaign_report.stable_json r1 in
   let identical =
     List.for_all
@@ -665,44 +699,25 @@ let campaign () =
   if not covered then failwith "campaign: CI missed the exhaustive rate";
   if o.Engine.stopped = Engine.Ci_target && o.Engine.samples >= o.Engine.population
   then failwith "campaign: no injection savings over the sweep";
-  if !quick then note "quick mode: not writing BENCH_campaign.json"
-  else begin
-    let oc = open_out "BENCH_campaign.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": %S,\n\
-      \  \"object\": %S,\n\
-      \  \"seed\": %d,\n\
-      \  \"ci_width_target\": %g,\n\
-      \  \"population\": %d,\n\
-      \  \"exhaustive_rate\": \"%h\",\n\
-      \  \"exhaustive_rate_decimal\": %.17g,\n\
-      \  \"exhaustive_injections\": %d,\n\
-      \  \"exhaustive_seconds\": %.4f,\n\
-      \  \"campaign_samples\": %d,\n\
-      \  \"campaign_runs\": %d,\n\
-      \  \"campaign_cache_hits\": %d,\n\
-      \  \"campaign_estimate\": \"%h\",\n\
-      \  \"campaign_estimate_decimal\": %.17g,\n\
-      \  \"campaign_ci\": [\"%h\", \"%h\"],\n\
-      \  \"campaign_ci_decimal\": [%.17g, %.17g],\n\
-      \  \"stopped\": %S,\n\
-      \  \"ci_covers_exhaustive\": %b,\n\
-      \  \"injection_savings\": %.3f,\n\
-      \  \"report_bit_identical_across_domains\": %b,\n\
-      \  \"host_cores\": %d,\n"
-      bench obj plan.Plan.seed ci_width o.Engine.population exact exact
-      truth.Moard_inject.Exhaustive.injections sweep_s o.Engine.samples
-      o.Engine.runs o.Engine.cache_hits o.Engine.estimate o.Engine.estimate
-      o.Engine.lo o.Engine.hi o.Engine.lo o.Engine.hi
-      (Engine.stop_reason_name o.Engine.stopped)
-      covered savings identical (host_cores ());
-    emit_domains_json oc ~key:"domains" ~t1
-      (List.map (fun (d, s, _) -> (d, s)) runs);
-    Printf.fprintf oc "}\n";
-    close_out oc;
-    note "wrote BENCH_campaign.json"
-  end
+  write_bench "BENCH_campaign.json"
+    ([ ("benchmark", Str bench); ("object", Str obj);
+       ("seed", Int plan.Plan.seed); ("ci_width_target", Float ci_width);
+       ("population", Int o.Engine.population);
+       ("exhaustive_rate", hex exact); ("exhaustive_rate_decimal", Float exact);
+       ("exhaustive_injections", Int truth.Moard_inject.Exhaustive.injections);
+       ("exhaustive_seconds", Float sweep_s);
+       ("campaign_samples", Int o.Engine.samples);
+       ("campaign_runs", Int o.Engine.runs);
+       ("campaign_cache_hits", Int o.Engine.cache_hits);
+       ("campaign_estimate", hex o.Engine.estimate);
+       ("campaign_estimate_decimal", Float o.Engine.estimate);
+       ("campaign_ci", Arr [ hex o.Engine.lo; hex o.Engine.hi ]);
+       ("campaign_ci_decimal", Arr [ Float o.Engine.lo; Float o.Engine.hi ]);
+       ("stopped", Str (Engine.stop_reason_name o.Engine.stopped));
+       ("ci_covers_exhaustive", Bool covered);
+       ("injection_savings", Float savings);
+       ("report_bit_identical_across_domains", Bool identical) ]
+    @ domains_fields ~key:"domains" runs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -717,7 +732,6 @@ let campaign () =
 let store_bench () =
   let module Daemon = Moard_server.Daemon in
   let module Client = Moard_server.Client in
-  let module Jsonx = Moard_server.Jsonx in
   let module Query = Moard_store.Query in
   section
     "Result store + moardd: cold vs warm query latency, hit ratio under a \
@@ -850,17 +864,13 @@ let store_bench () =
           p95 p99)
       rows
   in
-  let emit_latency oc ~indent rows =
-    Printf.fprintf oc "%s\"latency\": {\n" indent;
-    List.iteri
-      (fun i (srv, cnt, p50, p95, p99) ->
-        Printf.fprintf oc
-          "%s  %S: { \"draws\": %d, \"p50_s\": %.6f, \"p95_s\": %.6f, \
-           \"p99_s\": %.6f }%s\n"
-          indent srv cnt p50 p95 p99
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.fprintf oc "%s}" indent
+  let latency rows =
+    let row (srv, cnt, p50, p95, p99) =
+      ( srv,
+        Obj [ ("draws", Int cnt); ("p50_s", Float p50); ("p95_s", Float p95);
+              ("p99_s", Float p99) ] )
+    in
+    ("latency", Obj (List.map row rows))
   in
   let payloads : (string, string) Hashtbl.t = Hashtbl.create 32 in
   let lats = Hashtbl.create 8 in
@@ -1025,48 +1035,25 @@ let store_bench () =
   if (not !quick) && cqps < 3.0 then
     failwith
       (Printf.sprintf "cluster: %.1f q/s on the warmed mix, need >= 3" cqps);
-  if !quick then note "quick mode: not writing BENCH_store.json"
-  else begin
-    let oc = open_out "BENCH_store.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"probe\": { \"benchmark\": %S, \"object\": %S },\n\
-      \  \"cold_seconds\": %.6f,\n\
-      \  \"warm_seconds\": %.6f,\n\
-      \  \"warm_speedup\": %.1f,\n\
-      \  \"byte_identical_to_offline\": %b,\n\
-      \  \"zipf\": {\n\
-      \    \"objects\": %d,\n\
-      \    \"draws\": %d,\n\
-      \    \"hits\": %d,\n\
-      \    \"hit_ratio\": %.4f,\n\
-      \    \"seconds\": %.4f,\n\
-      \    \"queries_per_sec\": %.1f,\n"
-      probe_bench probe_obj cold_s !warm_s speedup identical n draws !hits
-      hit_ratio mix_s
-      (float_of_int draws /. mix_s);
-    emit_latency oc ~indent:"    " serial_lat;
-    Printf.fprintf oc
-      "\n\
-      \  },\n\
-      \  \"cluster\": {\n\
-      \    \"shards\": 2,\n\
-      \    \"replication\": 2,\n\
-      \    \"draws\": %d,\n\
-      \    \"hits\": %d,\n\
-      \    \"hit_ratio\": %.4f,\n\
-      \    \"warm_seconds\": %.4f,\n\
-      \    \"seconds\": %.4f,\n\
-      \    \"queries_per_sec\": %.1f,\n\
-      \    \"byte_identical_to_offline\": %b,\n"
-      cdraws !chits
-      (float_of_int !chits /. float_of_int cdraws)
-      cwarm_s cmix_s cqps cident;
-    emit_latency oc ~indent:"    " cluster_lat;
-    Printf.fprintf oc "\n  }\n}\n";
-    close_out oc;
-    note "wrote BENCH_store.json"
-  end
+  write_bench "BENCH_store.json"
+    [ ( "probe",
+        Obj [ ("benchmark", Str probe_bench); ("object", Str probe_obj) ] );
+      ("cold_seconds", Float cold_s); ("warm_seconds", Float !warm_s);
+      ("warm_speedup", Float speedup);
+      ("byte_identical_to_offline", Bool identical);
+      ( "zipf",
+        Obj [ ("objects", Int n); ("draws", Int draws); ("hits", Int !hits);
+              ("hit_ratio", Float hit_ratio); ("seconds", Float mix_s);
+              ("queries_per_sec", Float (float_of_int draws /. mix_s));
+              latency serial_lat ] );
+      ( "cluster",
+        Obj [ ("shards", Int 2); ("replication", Int 2); ("draws", Int cdraws);
+              ("hits", Int !chits);
+              ("hit_ratio", Float (float_of_int !chits /. float_of_int cdraws));
+              ("warm_seconds", Float cwarm_s); ("seconds", Float cmix_s);
+              ("queries_per_sec", Float cqps);
+              ("byte_identical_to_offline", Bool cident);
+              latency cluster_lat ] ) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1158,7 +1145,6 @@ let kernel_bench () =
   let module Plan = Moard_campaign.Plan in
   let module Engine = Moard_campaign.Engine in
   let plan = Plan.make ~seed:42 ~ci_width:0.02 ctx ~objects:[ obj ] in
-  let host_cores = host_cores () in
   let single_core = single_core () in
   let domain_counts = scaling_domains () in
   let druns =
@@ -1193,42 +1179,25 @@ let kernel_bench () =
     if tmax > t1 *. 1.5 +. 0.05 then
       failwith "kernel: oversubscribed domains slower than sequential"
   end;
-  if !quick then note "quick mode: not writing BENCH_kernel.json"
-  else begin
-    let oc = open_out "BENCH_kernel.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"host_cores\": %d,\n\
-      \  \"scan_executions\": %d,\n\
-      \  \"sweeps\": [\n"
-      host_cores scan_execs;
-    List.iteri
-      (fun i (bench, obj, sr, ss, ssteps, br, bs, bsteps, speedup) ->
-        let open Moard_inject.Exhaustive in
-        Printf.fprintf oc
-          "    { \"benchmark\": %S, \"object\": %S, \"sites\": %d,\n\
-          \      \"injections\": %d, \"success_rate\": \"%h\",\n\
-          \      \"success_rate_decimal\": %.17g,\n\
-          \      \"scalar\": { \"seconds\": %.4f, \"runs\": %d, \
-           \"injected_steps\": %d, \"sites_per_sec\": %.1f },\n\
-          \      \"batched\": { \"seconds\": %.4f, \"runs\": %d, \
-           \"injected_steps\": %d, \"sites_per_sec\": %.1f },\n\
-          \      \"speedup\": %.2f }%s\n"
-          bench obj sr.sites sr.injections sr.success_rate sr.success_rate ss
-          sr.runs ssteps
-          (float_of_int sr.sites /. ss)
-          bs br.runs bsteps
-          (float_of_int br.sites /. bs)
-          speedup
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.fprintf oc "  ],\n";
-    emit_domains_json oc ~key:"campaign_domains" ~t1
-      (List.map (fun (d, s, _) -> (d, s)) druns);
-    Printf.fprintf oc "}\n";
-    close_out oc;
-    note "wrote BENCH_kernel.json"
-  end
+  let sweep_json s runs steps sites =
+    Obj [ ("seconds", Float s); ("runs", Int runs);
+          ("injected_steps", Int steps);
+          ("sites_per_sec", Float (float_of_int sites /. s)) ]
+  in
+  let row (bench, obj, sr, ss, ssteps, br, bs, bsteps, speedup) =
+    let open Moard_inject.Exhaustive in
+    Obj [ ("benchmark", Str bench); ("object", Str obj);
+          ("sites", Int sr.sites); ("injections", Int sr.injections);
+          ("success_rate", hex sr.success_rate);
+          ("success_rate_decimal", Float sr.success_rate);
+          ("scalar", sweep_json ss sr.runs ssteps sr.sites);
+          ("batched", sweep_json bs br.runs bsteps br.sites);
+          ("speedup", Float speedup) ]
+  in
+  write_bench "BENCH_kernel.json"
+    ([ ("scan_executions", Int scan_execs);
+       ("sweeps", Arr (List.map row rows)) ]
+    @ domains_fields ~key:"campaign_domains" druns)
 
 let chaos_bench () =
   section "Chaos: survival economy of the serving stack under injected faults";
@@ -1239,13 +1208,13 @@ let chaos_bench () =
      wall clock is the harness overhead floor *)
   let module Harness = Moard_cluster.Harness in
   let rates = if !quick then [ 0.08 ] else [ 0.0; 0.08; 0.25 ] in
-  let rounds = if !quick then 1 else 2 in
+  let seed = 7 and rounds = if !quick then 1 else 2 in
   let runs =
     List.map
       (fun rate ->
         let t = Unix.gettimeofday () in
         let r =
-          Harness.run ~seed:7 ~rounds ~rate ~ci_width:0.05 (Harness.daemon ())
+          Harness.run ~seed ~rounds ~rate ~ci_width:0.05 (Harness.daemon ())
         in
         let s = Unix.gettimeofday () -. t in
         let injected =
@@ -1263,28 +1232,20 @@ let chaos_bench () =
       rates
   in
   Printf.printf "\nall %d chaos rates survived: true\n" (List.length runs);
-  if !quick then note "quick mode: not writing BENCH_chaos.json"
-  else begin
-    let oc = open_out "BENCH_chaos.json" in
-    Printf.fprintf oc "{\n  \"seed\": 7,\n  \"rounds\": %d,\n  \"rates\": [\n"
-      rounds;
-    List.iteri
-      (fun i (rate, s, injected, r) ->
-        Printf.fprintf oc
-          "    { \"rate\": %.2f, \"seconds\": %.2f, \"requests\": %d,\n\
-          \      \"identical\": %d, \"transport_failures\": %d,\n\
-          \      \"faults_injected\": %d, \"quarantined\": %d,\n\
-          \      \"schedule_hash\": %S, \"survived\": %b }%s\n"
-          rate s r.Harness.requests r.Harness.identical
-          r.Harness.transport_failures injected
-          (List.assoc "store_quarantined" r.Harness.health)
-          r.Harness.schedule_hash r.Harness.survived
-          (if i = List.length runs - 1 then "" else ","))
-      runs;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    note "wrote BENCH_chaos.json"
-  end
+  let row (rate, s, injected, r) =
+    Obj [ ("rate", Float rate); ("seconds", Float s);
+          ("requests", Int r.Harness.requests);
+          ("identical", Int r.Harness.identical);
+          ("transport_failures", Int r.Harness.transport_failures);
+          ("faults_injected", Int injected);
+          ( "quarantined",
+            Int (List.assoc "store_quarantined" r.Harness.health) );
+          ("schedule_hash", Str r.Harness.schedule_hash);
+          ("survived", Bool r.Harness.survived) ]
+  in
+  write_bench "BENCH_chaos.json"
+    [ ("seed", Int seed); ("rounds", Int rounds);
+      ("rates", Arr (List.map row runs)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1363,35 +1324,22 @@ let predict_bench () =
   in
   Printf.printf "\nworst |err| %.4f; CI covered truth for %d/%d objects\n"
     worst covered_n (List.length rows);
-  if !quick then note "quick mode: not writing BENCH_predict.json"
-  else begin
-    let oc = open_out "BENCH_predict.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"worst_abs_error\": %.17g,\n\
-      \  \"ci_covered\": %d,\n\
-      \  \"objects\": [\n"
-      worst covered_n;
-    List.iteri
-      (fun i (bench, obj, target, p, predict_s, truth, truth_s, err, covered) ->
-        Printf.fprintf oc
-          "    { \"benchmark\": %S, \"object\": %S, \"target\": %d, \
-           \"training_sizes\": [%s], \"predicted\": %.17g, \"ci\": [%.17g, \
-           %.17g], \"truth\": %.17g, \"abs_error\": %.17g, \"covered\": %b, \
-           \"predict_seconds\": %.4f, \"truth_seconds\": %.4f, \"speedup\": \
-           %.3f }%s\n"
-          bench obj target
-          (String.concat ", " (List.map string_of_int p.Predict.sizes))
-          p.Predict.advf p.Predict.advf_ci.Moard_stats.Confidence.lo
-          p.Predict.advf_ci.Moard_stats.Confidence.hi truth err covered
-          predict_s truth_s
-          (truth_s /. Float.max 1e-9 predict_s)
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    note "wrote BENCH_predict.json"
-  end
+  let row (bench, obj, target, p, predict_s, truth, truth_s, err, covered) =
+    let ci = p.Predict.advf_ci in
+    Obj [ ("benchmark", Str bench); ("object", Str obj); ("target", Int target);
+          ("training_sizes", Arr (List.map (fun n -> Int n) p.Predict.sizes));
+          ("predicted", Float p.Predict.advf);
+          ( "ci",
+            Arr [ Float ci.Moard_stats.Confidence.lo;
+                  Float ci.Moard_stats.Confidence.hi ] );
+          ("truth", Float truth); ("abs_error", Float err);
+          ("covered", Bool covered); ("predict_seconds", Float predict_s);
+          ("truth_seconds", Float truth_s);
+          ("speedup", Float (truth_s /. Float.max 1e-9 predict_s)) ]
+  in
+  write_bench "BENCH_predict.json"
+    [ ("worst_abs_error", Float worst); ("ci_covered", Int covered_n);
+      ("objects", Arr (List.map row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1438,47 +1386,27 @@ let advise_bench () =
         (bench, r, advise_s))
       cases
   in
-  if !quick then note "quick mode: not writing BENCH_advise.json"
-  else begin
-    let oc = open_out "BENCH_advise.json" in
-    Printf.fprintf oc "{\n  \"benchmarks\": [\n";
-    List.iteri
-      (fun i (bench, (r : Advise.t), advise_s) ->
-        Printf.fprintf oc
-          "    { \"benchmark\": %S, \"seconds\": %.4f, \"golden_steps\": %d, \
-           \"objects\": [\n"
-          bench advise_s r.Advise.base_steps;
-        List.iteri
-          (fun j (o : Advise.object_advice) ->
-            Printf.fprintf oc
-              "      { \"object\": %S, \"vulnerability\": %.17g, \
-               \"contribution\": %.17g, \"recommended\": %s, \"plans\": [\n"
-              o.Advise.object_name o.Advise.vulnerability
-              o.Advise.contribution
-              (match o.Advise.recommended with
-              | None -> "null"
-              | Some id -> Printf.sprintf "%S" id);
-            List.iteri
-              (fun k (p : Advise.plan_outcome) ->
-                Printf.fprintf oc
-                  "        { \"plan\": %S, \"residual_vulnerability\": \
-                   %.17g, \"reduction\": %.17g, \"overhead\": %.17g, \
-                   \"pareto\": %b }%s\n"
-                  p.Advise.id p.Advise.vulnerability p.Advise.reduction
-                  p.Advise.overhead p.Advise.pareto
-                  (if k = List.length o.Advise.plans - 1 then "" else ","))
-              o.Advise.plans;
-            Printf.fprintf oc "      ] }%s\n"
-              (if j = List.length r.Advise.objects - 1 then "" else ","))
-          r.Advise.objects;
-        Printf.fprintf oc "    ] }%s\n"
-          (if i = List.length rows - 1 then "" else ",")
-      )
-      rows;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    note "wrote BENCH_advise.json"
-  end
+  let plan_json (p : Advise.plan_outcome) =
+    Obj [ ("plan", Str p.Advise.id);
+          ("residual_vulnerability", Float p.Advise.vulnerability);
+          ("reduction", Float p.Advise.reduction);
+          ("overhead", Float p.Advise.overhead);
+          ("pareto", Bool p.Advise.pareto) ]
+  in
+  let object_json (o : Advise.object_advice) =
+    Obj [ ("object", Str o.Advise.object_name);
+          ("vulnerability", Float o.Advise.vulnerability);
+          ("contribution", Float o.Advise.contribution);
+          ( "recommended",
+            match o.Advise.recommended with None -> Null | Some id -> Str id );
+          ("plans", Arr (List.map plan_json o.Advise.plans)) ]
+  in
+  let row (bench, (r : Advise.t), advise_s) =
+    Obj [ ("benchmark", Str bench); ("seconds", Float advise_s);
+          ("golden_steps", Int r.Advise.base_steps);
+          ("objects", Arr (List.map object_json r.Advise.objects)) ]
+  in
+  write_bench "BENCH_advise.json" [ ("benchmarks", Arr (List.map row rows)) ]
 
 (* The parallel-resilience benchmark: for every kernel with an SPMD port
    (MM, CG, LULESH), time the serial aDVF analysis against the port at
@@ -1561,49 +1489,30 @@ let parallel_bench () =
      port@1 bit-identical to serial for all %d objects: true\n\
      shared consumption sites across all ports at %d harts: %d\n"
     (List.length rows) harts total_shared;
-  if !quick then note "quick mode: not writing BENCH_parallel.json"
-  else begin
-    let oc = open_out "BENCH_parallel.json" in
-    Printf.fprintf oc "{\n  \"harts\": %d,\n  \"host_cores\": %d,\n" harts
-      (host_cores ());
-    Printf.fprintf oc "  \"objects\": [\n";
-    let advf_json (r : Advf.report) s =
-      Printf.sprintf
-        "{ \"sites\": %d, \"advf\": \"%h\", \"advf_decimal\": %.17g, \
-         \"seconds\": %.4f }"
-        r.Advf.involvements r.Advf.advf r.Advf.advf s
-    in
-    List.iteri
-      (fun i (bench, obj, serial, ss, par1, s1, parn, sn) ->
-        let part = function
-          | None -> "null"
-          | Some (r : Advf.report) ->
-            Printf.sprintf
-              "{ \"sites\": %d, \"advf\": \"%h\", \"advf_decimal\": %.17g }"
-              r.Advf.involvements r.Advf.advf r.Advf.advf
-        in
-        Printf.fprintf oc
-          "    { \"benchmark\": %S, \"object\": %S,\n\
-          \      \"serial\": %s,\n\
-          \      \"parallel_1\": %s,\n\
-          \      \"parallel_1_bit_identical\": true,\n\
-          \      \"parallel_n\": { \"sites\": %d, \"shared_sites\": %d,\n\
-          \        \"advf\": \"%h\", \"advf_decimal\": %.17g, \"seconds\": \
-           %.4f,\n\
-          \        \"advf_delta_vs_serial\": %.17g,\n\
-          \        \"shared\": %s, \"private\": %s } }%s\n"
-          bench obj (advf_json serial ss) (advf_json par1 s1)
-          parn.Hart_split.sites parn.Hart_split.shared_sites
-          parn.Hart_split.total.Advf.advf parn.Hart_split.total.Advf.advf sn
-          (parn.Hart_split.total.Advf.advf -. serial.Advf.advf)
-          (part parn.Hart_split.shared)
-          (part parn.Hart_split.private_)
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    note "wrote BENCH_parallel.json"
-  end
+  let advf_json ?seconds (r : Advf.report) =
+    Obj
+      ([ ("sites", Int r.Advf.involvements); ("advf", hex r.Advf.advf);
+         ("advf_decimal", Float r.Advf.advf) ]
+      @ Option.fold ~none:[] ~some:(fun s -> [ ("seconds", Float s) ]) seconds)
+  in
+  let part = Option.fold ~none:Null ~some:advf_json in
+  let row (bench, obj, serial, ss, par1, s1, parn, sn) =
+    let total = parn.Hart_split.total.Advf.advf in
+    Obj [ ("benchmark", Str bench); ("object", Str obj);
+          ("serial", advf_json ~seconds:ss serial);
+          ("parallel_1", advf_json ~seconds:s1 par1);
+          ("parallel_1_bit_identical", Bool true);
+          ( "parallel_n",
+            Obj [ ("sites", Int parn.Hart_split.sites);
+                  ("shared_sites", Int parn.Hart_split.shared_sites);
+                  ("advf", hex total); ("advf_decimal", Float total);
+                  ("seconds", Float sn);
+                  ("advf_delta_vs_serial", Float (total -. serial.Advf.advf));
+                  ("shared", part parn.Hart_split.shared);
+                  ("private", part parn.Hart_split.private_) ] ) ]
+  in
+  write_bench "BENCH_parallel.json"
+    [ ("harts", Int harts); ("objects", Arr (List.map row rows)) ]
 
 let experiments =
   [

@@ -90,6 +90,8 @@ type verdicts = {
   traps : (int * Moard_vm.Trap.t) list;
   divergent : Ps.t;
   changed : Ps.t;
+  out_where : changed_out option;
+  out_bits : Bytes.t;
   overshadow : Ps.t;
 }
 
@@ -100,7 +102,9 @@ let collect ~width ~model ~n ~mask_kind verdict =
   and divergent = ref Ps.empty
   and changed = ref Ps.empty
   and overshadow = ref Ps.empty
-  and traps = ref [] in
+  and traps = ref []
+  and out_where = ref None
+  and out_bits = Bytes.create (8 * n) in
   for lane = 0 to n - 1 do
     match verdict lane with
     | Masked _ -> masked := Ps.add !masked lane
@@ -108,8 +112,11 @@ let collect ~width ~model ~n ~mask_kind verdict =
       crash := Ps.add !crash lane;
       traps := (lane, t) :: !traps
     | Divergent -> divergent := Ps.add !divergent lane
-    | Changed { overshadow = o; _ } ->
+    | Changed { out; overshadow = o } ->
       changed := Ps.add !changed lane;
+      if !out_where = None then out_where := Some out;
+      let (To_reg { value; _ } | To_mem { value; _ }) = out in
+      Bytes.set_int64_ne out_bits (8 * lane) value.Bitval.bits;
       if o then overshadow := Ps.add !overshadow lane
   done;
   {
@@ -122,6 +129,8 @@ let collect ~width ~model ~n ~mask_kind verdict =
     traps = List.rev !traps;
     divergent = !divergent;
     changed = !changed;
+    out_where = !out_where;
+    out_bits;
     overshadow = !overshadow;
   }
 
@@ -218,6 +227,19 @@ let changed_out_at ?(model = Errmodel.Single_bit) (e : Event.t) kind ~lane =
   | Changed { out; overshadow } -> (out, overshadow)
   | Masked _ | Crash_certain _ | Divergent ->
     invalid_arg "Masking.changed_out_at: not a changed lane"
+
+(* Every changed lane of a site writes the same register or cell, so one
+   output record and one unboxed image per lane keep them all: a site's
+   verdicts stay alive while its lanes are replayed and injected, and a
+   boxed output per lane would be promoted with them. *)
+let changed_out v lane =
+  let image w = Bitval.make w (Bytes.get_int64_ne v.out_bits (8 * lane)) in
+  match v.out_where with
+  | Some (To_reg r) when Ps.mem v.changed lane ->
+    To_reg { r with value = image r.value.Bitval.width }
+  | Some (To_mem m) when Ps.mem v.changed lane ->
+    To_mem { m with value = image m.value.Bitval.width }
+  | _ -> invalid_arg "Masking.changed_out: not a changed lane"
 
 let trap_of_lane v lane =
   match List.assoc_opt lane v.traps with

@@ -62,6 +62,11 @@ type verdicts = {
       (** per-lane traps of the crash set, ascending lane order *)
   divergent : Moard_bits.Patternset.t;
   changed : Moard_bits.Patternset.t;
+  out_where : changed_out option;
+      (** the first changed lane's output; every changed lane writes the
+          same register or memory cell *)
+  out_bits : Bytes.t;
+      (** the image changed lane [i] writes there, at byte [8 i] *)
   overshadow : Moard_bits.Patternset.t;  (** subset of [changed] *)
 }
 
@@ -77,12 +82,18 @@ val trap_of_lane : verdicts -> int -> Moard_vm.Trap.t
 (** The trap of one lane of the crash set.
     @raise Invalid_argument if the lane is not in the crash set. *)
 
+val changed_out : verdicts -> int -> changed_out
+(** The output of one lane of the changed set, as {!analyze_all}
+    computed it — what seeds the propagation replay.
+    @raise Invalid_argument if the lane is not in the changed set. *)
+
 val changed_out_at :
   ?model:Moard_bits.Errmodel.t ->
   Moard_trace.Event.t -> Moard_trace.Consume.kind -> lane:int ->
   changed_out * bool
 (** The [Changed] payload (output and overshadow flag) of one lane of the
-    changed set — what seeds the propagation replay.
+    changed set, recomputed by the scalar {!analyze}: equal to
+    {!changed_out} and the lane's membership of [overshadow].
     @raise Invalid_argument if the lane is not in the changed set. *)
 
 val scan_executions : unit -> int

@@ -74,7 +74,7 @@ let addr_of v = Int64.to_int (Bitval.to_int64 v)
 type st = {
   tape : Tape.t;
   outputs : Data_object.t list;
-  gmem : Gmem.t option;
+  gmem : Gmem.t;
   fates : fate array;
   mutable live : Ps.t;
   mutable rcells : rcell list;
@@ -181,52 +181,47 @@ let step st ~pos (e : Event.t) =
     (* Lanes whose address register is corrupted load from a redirected
        address: a wild address is an exact trap, an in-range one reads
        the injected run's memory there — this walk's own contaminated
-       cells first, the golden-memory timeline otherwise. Without a
-       timeline only ground truth can tell. *)
+       cells first, the golden-memory timeline otherwise. *)
     let redirected = ref Ps.empty in
     let redir_vals = ref [||] in
     (match slot_cell.(0) with
     | None -> ()
-    | Some c -> (
-      let m = Ps.inter c.rmask st.live in
-      match st.gmem with
-      | None -> finalize st m Unknown
-      | Some g ->
-        Ps.iter
-          (fun b ->
-            let addr' = addr_of c.rvals.(b) in
-            if addr' <> e.load_addr then
-              match Gmem.probe g ty addr' with
-              | Error trap -> finalize st (Ps.singleton b) (Trap trap)
-              | Ok () ->
-                let own = overlapping st ~addr:addr' ~size:sz in
-                let mixed =
-                  List.exists
-                    (fun mc ->
-                      (not (mc.maddr = addr' && mc.msize = sz))
-                      && Ps.mem mc.mmask b)
-                    own
-                in
-                let v =
-                  if mixed then None
-                  else
-                    match
-                      List.find_opt
-                        (fun mc -> mc.maddr = addr' && mc.msize = sz)
-                        own
-                    with
-                    | Some mc when Ps.mem mc.mmask b ->
-                      Some (reinterpret ty mc.mvals.(b))
-                    | _ -> Gmem.value_at g ~pos ty addr'
-                in
-                (match v with
-                | None -> finalize st (Ps.singleton b) Unknown
-                | Some v ->
-                  if Array.length !redir_vals = 0 then
-                    redir_vals := fresh_vals ();
-                  !redir_vals.(b) <- v;
-                  redirected := Ps.add !redirected b))
-          m));
+    | Some c ->
+      Ps.iter
+        (fun b ->
+          let addr' = addr_of c.rvals.(b) in
+          if addr' <> e.load_addr then
+            match Gmem.probe st.gmem ty addr' with
+            | Error trap -> finalize st (Ps.singleton b) (Trap trap)
+            | Ok () ->
+              let own = overlapping st ~addr:addr' ~size:sz in
+              let mixed =
+                List.exists
+                  (fun mc ->
+                    (not (mc.maddr = addr' && mc.msize = sz))
+                    && Ps.mem mc.mmask b)
+                  own
+              in
+              let v =
+                if mixed then None
+                else
+                  match
+                    List.find_opt
+                      (fun mc -> mc.maddr = addr' && mc.msize = sz)
+                      own
+                  with
+                  | Some mc when Ps.mem mc.mmask b ->
+                    Some (reinterpret ty mc.mvals.(b))
+                  | _ -> Gmem.value_at st.gmem ~pos ty addr'
+              in
+              (match v with
+              | None -> finalize st (Ps.singleton b) Unknown
+              | Some v ->
+                if Array.length !redir_vals = 0 then
+                  redir_vals := fresh_vals ();
+                !redir_vals.(b) <- v;
+                redirected := Ps.add !redirected b))
+        (Ps.inter c.rmask st.live));
     let redirected = !redirected in
     let exact = ref None in
     List.iter
@@ -271,28 +266,23 @@ let step st ~pos (e : Event.t) =
       (* Lanes whose address register is corrupted store somewhere else:
          a wild address is an exact trap; an in-range one leaves [addr]
          holding the injected run's prior content (the golden store never
-         happens there) and clobbers [addr'] instead. Without a golden
-         timeline only ground truth can tell. *)
+         happens there) and clobbers [addr'] instead. *)
       let redirected = ref Ps.empty in
       let redir_addr = Array.make 64 0 in
       (if nslots > 1 then
          match slot_cell.(1) with
          | None -> ()
-         | Some c -> (
-           let m = Ps.inter c.rmask st.live in
-           match st.gmem with
-           | None -> finalize st m Unknown
-           | Some g ->
-             Ps.iter
-               (fun b ->
-                 let addr' = addr_of c.rvals.(b) in
-                 if addr' <> addr then
-                   match Gmem.probe g ty addr' with
-                   | Error trap -> finalize st (Ps.singleton b) (Trap trap)
-                   | Ok () ->
-                     redir_addr.(b) <- addr';
-                     redirected := Ps.add !redirected b)
-               m));
+         | Some c ->
+           Ps.iter
+             (fun b ->
+               let addr' = addr_of c.rvals.(b) in
+               if addr' <> addr then
+                 match Gmem.probe st.gmem ty addr' with
+                 | Error trap -> finalize st (Ps.singleton b) (Trap trap)
+                 | Ok () ->
+                   redir_addr.(b) <- addr';
+                   redirected := Ps.add !redirected b)
+             (Ps.inter c.rmask st.live));
       let redirected = !redirected in
       let exact = ref None in
       List.iter
@@ -331,27 +321,24 @@ let step st ~pos (e : Event.t) =
       (* Missing store: a redirected lane keeps the injected run's prior
          content at [addr] — contaminated against the golden [clean]
          unless the two coincide. *)
-      (match st.gmem with
-      | None -> ()
-      | Some g ->
-        Ps.iter
-          (fun b ->
-            if Ps.mem st.live b then
-              let prior =
-                match !exact with
-                | Some c when Ps.mem c.mmask b -> Some c.mvals.(b)
-                | _ -> Gmem.value_at g ~pos ty addr
-              in
-              match prior with
-              | None -> finalize st (Ps.singleton b) Unknown
-              | Some v ->
-                if
-                  not
-                    (Int64.equal
-                       (Int64.logand v.Bitval.bits smask)
-                       (Int64.logand clean.Bitval.bits smask))
-                then put b v)
-          redirected);
+      Ps.iter
+        (fun b ->
+          if Ps.mem st.live b then
+            let prior =
+              match !exact with
+              | Some c when Ps.mem c.mmask b -> Some c.mvals.(b)
+              | _ -> Gmem.value_at st.gmem ~pos ty addr
+            in
+            match prior with
+            | None -> finalize st (Ps.singleton b) Unknown
+            | Some v ->
+              if
+                not
+                  (Int64.equal
+                     (Int64.logand v.Bitval.bits smask)
+                     (Int64.logand clean.Bitval.bits smask))
+              then put b v)
+        redirected;
       let keep =
         (not (Ps.is_empty !contaminated))
         && (Tape.last_mem_read st.tape ~addr > pos || in_outputs st addr)
@@ -381,74 +368,71 @@ let step st ~pos (e : Event.t) =
       (* Misdirected store: the value a redirected lane writes at [addr']
          diverges the injected run's memory there from the golden run's,
          which never stores at [addr'] at this step. *)
-      (match st.gmem with
-      | None -> ()
-      | Some g ->
-        Ps.iter
-          (fun b ->
-            if Ps.mem st.live b then begin
-              let addr' = redir_addr.(b) in
-              let v = value_at 0 b in
-              List.iter
-                (fun c ->
-                  if
-                    (not (c.maddr = addr' && c.msize = sz))
-                    && Ps.mem c.mmask b
-                  then
-                    if c.maddr >= addr' && c.maddr + c.msize <= addr' + sz
-                    then
-                      (* this lane's view fully overwritten by its store *)
-                      c.mmask <- Ps.remove c.mmask b
-                    else finalize st (Ps.singleton b) Unknown)
-                (overlapping st ~addr:addr' ~size:sz);
-              if Ps.mem st.live b then begin
-                let differs =
-                  match Gmem.value_at g ~pos ty addr' with
-                  | Some gv ->
-                    not
-                      (Int64.equal
-                         (Int64.logand v.Bitval.bits smask)
-                         (Int64.logand gv.Bitval.bits smask))
-                  | None -> true (* unknown golden content: assume it does *)
-                in
-                let cexact =
-                  List.find_opt
-                    (fun c -> c.maddr = addr' && c.msize = sz)
-                    st.mcells
-                in
+      Ps.iter
+        (fun b ->
+          if Ps.mem st.live b then begin
+            let addr' = redir_addr.(b) in
+            let v = value_at 0 b in
+            List.iter
+              (fun c ->
                 if
-                  differs
-                  && (Tape.last_mem_read st.tape ~addr:addr' > pos
-                     || in_outputs st addr')
-                then begin
-                  let c =
-                    match cexact with
-                    | Some c -> c
-                    | None ->
-                      let c =
-                        {
-                          maddr = addr';
-                          msize = sz;
-                          mty = ty;
-                          mmask = Ps.empty;
-                          mvals = fresh_vals ();
-                        }
-                      in
-                      st.mcells <- c :: st.mcells;
-                      st.ncells <- st.ncells + 1;
-                      c
-                  in
-                  c.mty <- ty;
-                  c.mmask <- Ps.add c.mmask b;
-                  c.mvals.(b) <- v
-                end
-                else
+                  (not (c.maddr = addr' && c.msize = sz))
+                  && Ps.mem c.mmask b
+                then
+                  if c.maddr >= addr' && c.maddr + c.msize <= addr' + sz
+                  then
+                    (* this lane's view fully overwritten by its store *)
+                    c.mmask <- Ps.remove c.mmask b
+                  else finalize st (Ps.singleton b) Unknown)
+              (overlapping st ~addr:addr' ~size:sz);
+            if Ps.mem st.live b then begin
+              let differs =
+                match Gmem.value_at st.gmem ~pos ty addr' with
+                | Some gv ->
+                  not
+                    (Int64.equal
+                       (Int64.logand v.Bitval.bits smask)
+                       (Int64.logand gv.Bitval.bits smask))
+                | None -> true (* unknown golden content: assume it does *)
+              in
+              let cexact =
+                List.find_opt
+                  (fun c -> c.maddr = addr' && c.msize = sz)
+                  st.mcells
+              in
+              if
+                differs
+                && (Tape.last_mem_read st.tape ~addr:addr' > pos
+                   || in_outputs st addr')
+              then begin
+                let c =
                   match cexact with
-                  | Some c -> c.mmask <- Ps.remove c.mmask b
-                  | None -> ()
+                  | Some c -> c
+                  | None ->
+                    let c =
+                      {
+                        maddr = addr';
+                        msize = sz;
+                        mty = ty;
+                        mmask = Ps.empty;
+                        mvals = fresh_vals ();
+                      }
+                    in
+                    st.mcells <- c :: st.mcells;
+                    st.ncells <- st.ncells + 1;
+                    c
+                in
+                c.mty <- ty;
+                c.mmask <- Ps.add c.mmask b;
+                c.mvals.(b) <- v
               end
-            end)
-          redirected)
+              else
+                match cexact with
+                | Some c -> c.mmask <- Ps.remove c.mmask b
+                | None -> ()
+            end
+          end)
+        redirected
     | Event.Wreg _ | Event.Wnone -> ())
   | I.Call _ when e.callee_frame >= 0 ->
     (* Corrupted arguments contaminate the callee's parameter registers;
@@ -504,7 +488,7 @@ let step st ~pos (e : Event.t) =
       (Ps.inter dirty st.live));
   settle st
 
-let run ?gmem ~tape ~outputs ~start ~seeds () =
+let run ~gmem ~tape ~outputs ~start ~seeds () =
   let st =
     {
       tape;

@@ -35,23 +35,23 @@ type fate =
   | Unknown  (** needs a real injection *)
 
 val run :
-  ?gmem:Gmem.t ->
+  gmem:Gmem.t ->
   tape:Moard_trace.Tape.t ->
   outputs:Moard_trace.Data_object.t list ->
   start:int ->
   seeds:(int * Masking.changed_out) list ->
   unit ->
   fate array
-(** [run ~tape ~outputs ~start ~seeds] replays the tape tail
+(** [run ~gmem ~tape ~outputs ~start ~seeds] replays the tape tail
     [(start, length)] once. [seeds] gives, for each changed lane of the
     site at index [start], the corrupted output of the consuming
-    operation ({!Masking.changed_out_at}). Returns a 64-slot array indexed
+    operation ({!Masking.changed_out}). Returns a 64-slot array indexed
     by lane; slots not named in [seeds] are meaningless. The tape must be
     frozen (liveness indexes are consulted).
 
     [gmem] is the golden-memory timeline of the tape. With it, a lane
     whose contamination reaches a load or store {e address} register is
     resolved exactly — wild address = certain trap, redirected access =
-    golden-memory question — instead of falling back to [Unknown] (a real
-    injection), which is what kills the batched throughput of
-    address-feeding objects like pivot-index arrays. *)
+    golden-memory question — instead of a real injection, which would
+    kill the batched throughput of address-feeding objects like
+    pivot-index arrays. *)

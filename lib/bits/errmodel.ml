@@ -56,8 +56,13 @@ let weight_den m =
     1
     [ Bitval.W1; Bitval.W32; Bitval.W64 ]
 
+(* The XOR image of [pattern_at m width i], without building its bit
+   list: the batched kernel asks for it once per lane. *)
 let flip_mask m width i =
-  List.fold_left
-    (fun acc b -> Int64.logor acc (Int64.shift_left 1L b))
-    0L
-    (Pattern.bits_of (pattern_at m width i))
+  if i < 0 || i >= lanes m width then
+    invalid_arg "Errmodel.flip_mask: lane out of range";
+  match (width, m) with
+  | Bitval.W1, _ | _, Single_bit -> Int64.shift_left 1L i
+  | _, Double_adjacent -> Int64.shift_left 3L i
+  | _, Byte_burst -> Int64.shift_left 0xFFL (8 * i)
+  | _, Whole_word -> Int64.shift_right_logical (-1L) (64 - Bitval.bits_in width)

@@ -55,4 +55,5 @@ val weight_den : t -> int
 val flip_mask : t -> Bitval.width -> int -> int64
 (** The XOR image of one lane: bit [b] set iff the lane's pattern flips
     bit [b]. The batched masking kernel corrupts an operand by XOR-ing
-    its clean bits with this mask (DESIGN.md §11). *)
+    its clean bits with this mask (DESIGN.md §11).
+    @raise Invalid_argument if the lane is out of range. *)

@@ -19,17 +19,8 @@ let magic = "moard-campaign-journal"
 
 (* FNV-1a64 of the S-line block protects each commit: a bit flipped in
    a committed record would otherwise parse as a different valid sample
-   and silently poison the resume.  Same primitive as store records and
-   plan hashes. *)
-let checksum s =
-  let offset = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  let h = ref offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+   and silently poison the resume. *)
+let checksum = Moard_chaos.Fnv.hex
 
 let header_lines ~plan_hash ~meta =
   Printf.sprintf "%s %d" magic schema_version

@@ -74,10 +74,6 @@ val read_meta : ?fx:Moard_chaos.Fx.t -> path:string -> unit -> (string * string)
 (** The meta key/value pairs, validating only the schema version — used to
     rebuild the plan before {!replay} can check its hash. *)
 
-val checksum : string -> string
-(** FNV-1a64 of a string as 16 lowercase hex digits — the commit-line
-    checksum primitive, exposed for fsck tooling and tests. *)
-
 type fsck_report = {
   path : string;
   header_ok : bool;  (** magic + schema version parsed *)

@@ -1,5 +1,7 @@
 module Context = Moard_inject.Context
 module Errmodel = Moard_bits.Errmodel
+module Fnv = Moard_chaos.Fnv
+module Rng = Moard_chaos.Rng
 
 type stratum = {
   label : string;
@@ -54,7 +56,7 @@ let make ?(variant = "") ?(model = Errmodel.Single_bit) ?(seed = 42)
                  stratum is fixed here, from the (seed, object, stratum)
                  stream alone — running, resuming or resharding the
                  campaign never draws randomness again *)
-              Splitmix.shuffle (Splitmix.of_path ~seed [ oi; si ]) order;
+              Rng.shuffle (Rng.of_path ~seed [ oi; si ]) order;
               {
                 label = Population.label si;
                 population = n;
@@ -136,21 +138,19 @@ let allocate ~budget remaining =
 (* -------------------------------------------------------------------- *)
 
 (* FNV-1a over a canonical byte rendering of everything that determines
-   the campaign: parameters, population sizes and the members themselves.
-   Stable across runs and OCaml versions (unlike Hashtbl.hash it is
-   specified here, byte by byte). *)
-let fnv_prime = 0x100000001B3L
-let fnv_offset = 0xCBF29CE484222325L
-
+   the campaign: parameters, population sizes and the members themselves. *)
 let hash t =
-  let h = ref fnv_offset in
-  let byte b = h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime in
+  let h = ref Fnv.offset in
+  let byte b = h := Fnv.add_byte !h b in
   let int i =
     for shift = 0 to 7 do
-      byte ((i lsr (shift * 8)) land 0xFF)
+      byte (i lsr (shift * 8))
     done
   in
-  let str s = String.iter (fun c -> byte (Char.code c)) s; byte 0 in
+  let str s =
+    h := Fnv.add_string !h s;
+    byte 0
+  in
   str "moard-campaign-plan-v1";
   str t.workload_name;
   (* The single-bit rendering predates error models: folding the default

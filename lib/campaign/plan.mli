@@ -2,7 +2,7 @@
 
     Built once from a golden-run context, a plan fixes, per target object,
     the stratified fault-site population and — through one seeded
-    Fisher-Yates shuffle per stratum ({!Splitmix}) — the complete
+    Fisher-Yates shuffle per stratum ({!Moard_chaos.Rng}) — the complete
     without-replacement sampling order. Everything downstream (the engine,
     the journal, resume) is a deterministic function of [(seed, plan)],
     which is what makes campaigns bit-reproducible across domain counts

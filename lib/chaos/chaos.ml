@@ -152,18 +152,6 @@ let schedule t =
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () -> List.map (fun (s, ps) -> (s, List.rev ps.log)) t.scopes)
 
-(* FNV-1a64, same function the store records and plan hashes use; local
-   because those libraries sit above this one in the dependency order. *)
-let fnv1a64_hex s =
-  let offset = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  let h = ref offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
-
 let schedule_hash t =
   let b = Buffer.create 256 in
   List.iter
@@ -177,7 +165,7 @@ let schedule_hash t =
         faults;
       Buffer.add_char b ';')
     (schedule t);
-  fnv1a64_hex (Buffer.contents b)
+  Fnv.hex (Buffer.contents b)
 
 (* ---- shims ---- *)
 

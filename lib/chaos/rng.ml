@@ -29,6 +29,9 @@ let next_int t bound =
   if bound <= 0 then invalid_arg "Rng.next_int: bound";
   if bound = 1 then 0
   else begin
+    (* rejection sampling over the smallest covering power of two: no
+       modulo bias, and the draw count per call is deterministic for a
+       given stream, which the reproducibility guarantee rests on *)
     let mask =
       let rec up m = if m >= bound - 1 then m else up ((m lsl 1) lor 1) in
       up 1
@@ -42,3 +45,11 @@ let next_int t bound =
 
 let next_float t =
   Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+
+let shuffle t a =
+  for i = Array.length a - 1 downto 1 do
+    let j = next_int t (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done

@@ -2,14 +2,7 @@
    change barely stirs the high bits, so sequential vnode labels (and
    sequential keys) land adjacent and the ring collapses onto one arc.
    The splitmix64 finalizer avalanches every input bit across the word. *)
-let mix h =
-  let h = Int64.logxor h (Int64.shift_right_logical h 30) in
-  let h = Int64.mul h 0xbf58476d1ce4e5b9L in
-  let h = Int64.logxor h (Int64.shift_right_logical h 27) in
-  let h = Int64.mul h 0x94d049bb133111ebL in
-  Int64.logxor h (Int64.shift_right_logical h 31)
-
-let hash s = mix (Moard_store.Record.fnv1a64 s)
+let hash s = Moard_chaos.Rng.mix64 (Moard_chaos.Fnv.string s)
 
 type t = {
   points : (int64 * string) array;  (* sorted by unsigned point *)

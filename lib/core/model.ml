@@ -264,10 +264,8 @@ let analyze ?(options = default_options) ?(domains = 1) ?site_filter ?cancel
             if Ps.mem v.Masking.divergent b then
               fi ~resume:true rsite (pattern ()) ~overshadow:false e b
             else
-              let out, overshadow =
-                Masking.changed_out_at ~model re rsite.Consume.kind ~lane:b
-              in
-              replay ~resume:true rsite out ~overshadow pattern e b)
+              replay ~resume:true rsite (Masking.changed_out v b)
+                ~overshadow:(Ps.mem v.Masking.overshadow b) pattern e b)
           (Ps.union v.Masking.changed v.Masking.divergent);
         Option.iter (fun key -> Hashtbl.replace scache key e) key
       end

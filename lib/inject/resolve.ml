@@ -34,10 +34,7 @@ let site ?(model = Errmodel.Single_bit) ?lanes ctx (s : Consume.t) =
   let changed = Ps.inter v.Masking.changed wanted in
   if not (Ps.is_empty changed) then begin
     let seeds =
-      Ps.fold
-        (fun b acc ->
-          (b, fst (Masking.changed_out_at ~model e s.Consume.kind ~lane:b)) :: acc)
-        changed []
+      Ps.fold (fun b acc -> (b, Masking.changed_out v b) :: acc) changed []
     in
     let fates =
       Vreplay.run ~gmem:(Context.gmem ctx) ~tape:(Context.tape ctx)

@@ -47,7 +47,7 @@ let read_frame ?eof_ok ~sock fd =
     | Some b -> Some (Bytes.unsafe_to_string b)
     | None -> assert false)
 
-let fnv_hex = Moard_store.Record.fnv1a64_hex
+let fnv_hex = Moard_chaos.Fnv.hex
 
 let send ?(sock = Sock.real) fd ?payload header =
   let header =

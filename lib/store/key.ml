@@ -19,7 +19,7 @@ let of_parts parts =
     parts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let program_hash p = Record.fnv1a64_hex (Moard_ir.Text.to_string p)
+let program_hash p = Moard_chaos.Fnv.hex (Moard_ir.Text.to_string p)
 
 let advf ~program ~object_name ~(options : Model.options) =
   of_parts

@@ -140,13 +140,3 @@ let advise store ?(model = Moard_bits.Errmodel.Single_bit) ?(seed = 42)
              ~max_samples ?domains ?cancel ~objects wl))
   in
   (key, payload, status)
-
-let tape_payload ctx = Marshal.to_string (Context.tape ctx) []
-
-let tape store ~ctx ~program ~entry () =
-  let key = Key.tape ~program ~entry in
-  let payload, status =
-    serve (Some store) ~key ~kind:Record.Tape (fun () ->
-        tape_payload (ctx ()))
-  in
-  ((Marshal.from_string payload 0 : Moard_trace.Tape.t), status)

@@ -128,16 +128,3 @@ val advise :
     in-memory campaign; the advise payload as a whole is the cached
     unit. A tripped [cancel] raises out of the compute path before
     anything is stored. *)
-
-val tape_payload : Moard_inject.Context.t -> string
-(** The packed golden tape, marshalled. *)
-
-val tape :
-  Store.t ->
-  ctx:(unit -> Moard_inject.Context.t) ->
-  program:Moard_ir.Program.t ->
-  entry:string ->
-  unit ->
-  Moard_trace.Tape.t * status
-(** Get-or-compute a packed golden tape. A hit deserializes the stored
-    tape without re-running the program. *)

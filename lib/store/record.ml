@@ -45,27 +45,13 @@ let magic = "MOARDREC"
 let version = 1
 let header_bytes = 8 + 1 + 1 + 8 + 8
 
-(* Same primitive as Plan.hash: platform-independent, no Hashtbl.hash. *)
-let fnv_prime = 0x100000001B3L
-let fnv_offset = 0xCBF29CE484222325L
-
-let fnv1a64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
-let fnv1a64_hex s = Printf.sprintf "%016Lx" (fnv1a64 s)
-
 let encode ~kind payload =
   let b = Bytes.create (header_bytes + String.length payload) in
   Bytes.blit_string magic 0 b 0 8;
   Bytes.set_uint8 b 8 version;
   Bytes.set_uint8 b 9 (kind_code kind);
   Bytes.set_int64_be b 10 (Int64.of_int (String.length payload));
-  Bytes.set_int64_be b 18 (fnv1a64 payload);
+  Bytes.set_int64_be b 18 (Moard_chaos.Fnv.string payload);
   Bytes.blit_string payload 0 b header_bytes (String.length payload);
   Bytes.unsafe_to_string b
 
@@ -86,7 +72,7 @@ let decode s =
           Error (Truncated { expected = header_bytes + max 0 len; got = n })
         else
           let payload = String.sub s header_bytes len in
-          if fnv1a64 payload <> Bytes.get_int64_be b 18 then
+          if Moard_chaos.Fnv.string payload <> Bytes.get_int64_be b 18 then
             Error Checksum_mismatch
           else Ok (kind, payload)
 

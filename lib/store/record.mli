@@ -41,10 +41,3 @@ val decode : string -> (kind * string, corruption) result
 
 val decode_expect : kind:kind -> string -> (string, corruption) result
 (** {!decode}, additionally rejecting a record of the wrong kind. *)
-
-val fnv1a64 : string -> int64
-(** FNV-1a over the bytes — the checksum primitive, exposed for key
-    derivation. Stable across processes and OCaml versions. *)
-
-val fnv1a64_hex : string -> string
-(** {!fnv1a64} as 16 lowercase hex digits. *)

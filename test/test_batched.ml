@@ -97,7 +97,7 @@ let pp_verdict = function
 (* analyze_all must agree with the scalar oracle on every lane of every
    site, for every error model: same classification, same mask kind,
    same per-lane trap, and the same Changed payload (output value and
-   overshadow flag). *)
+   overshadow flag), also as kept by the kernel ({!Masking.changed_out}). *)
 let check_site ~model tape (s : Consume.t) =
   let e = event_of tape s in
   let v = Masking.analyze_all ~model e s.Consume.kind in
@@ -156,6 +156,9 @@ let check_site ~model tape (s : Consume.t) =
       in
       if out' <> out || overshadow' <> overshadow then
         Alcotest.failf "[%s] event %d lane %d: changed payload differs"
+          (model_name model) s.Consume.event_idx b;
+      if Masking.changed_out v b <> out' then
+        Alcotest.failf "[%s] event %d lane %d: kept output differs"
           (model_name model) s.Consume.event_idx b
   done
 

@@ -8,7 +8,7 @@
 
 module Registry = Moard_kernels.Registry
 module Context = Moard_inject.Context
-module Splitmix = Moard_campaign.Splitmix
+module Rng = Moard_chaos.Rng
 module Population = Moard_campaign.Population
 module Plan = Moard_campaign.Plan
 module Journal = Moard_campaign.Journal
@@ -36,32 +36,46 @@ let small_plan ?(ci_width = 0.05) ?(batch = 37) () =
   (ctx, Plan.make ~seed:7 ~ci_width ~batch ctx ~objects:[ "m_elemBC" ])
 
 (* ---------------------------------------------------------------- *)
-(* Splitmix *)
+(* SplitMix64 streams. The exact values pin every frozen sampling order
+   (and chaos plan) to the stream they were drawn from. *)
 
 let splitmix_tests =
   [
     Alcotest.test_case "of_path streams are reproducible and distinct"
       `Quick (fun () ->
-        let a = Splitmix.of_path ~seed:42 [ 1; 2 ]
-        and a' = Splitmix.of_path ~seed:42 [ 1; 2 ]
-        and b = Splitmix.of_path ~seed:42 [ 2; 1 ]
-        and c = Splitmix.of_path ~seed:43 [ 1; 2 ] in
-        let seq g = List.init 8 (fun _ -> Splitmix.next g) in
+        let a = Rng.of_path ~seed:42 [ 1; 2 ]
+        and a' = Rng.of_path ~seed:42 [ 1; 2 ]
+        and b = Rng.of_path ~seed:42 [ 2; 1 ]
+        and c = Rng.of_path ~seed:43 [ 1; 2 ] in
+        let seq g = List.init 8 (fun _ -> Rng.next g) in
         let sa = seq a in
         Alcotest.(check (list int64)) "same (seed, path) => same stream" sa
           (seq a');
+        Alcotest.(check (list int64)) "pinned draws"
+          [ -5734385514800010019L; -1751492105291537303L;
+            4504917968839922139L; 7012622223093233661L ]
+          (List.filteri (fun i _ -> i < 4) sa);
         Alcotest.(check bool) "path order matters" false (sa = seq b);
         Alcotest.(check bool) "seed matters" false (sa = seq c));
     Alcotest.test_case "next_int is in range" `Quick (fun () ->
-        let g = Splitmix.make 9 in
+        let pinned = Rng.make 9 in
+        Alcotest.(check (list int)) "pinned draws"
+          [ 0; 0; 2; 0; 1; 1; 2; 5; 7; 3 ]
+          (List.init 10 (fun i -> Rng.next_int pinned (i + 1)));
+        let g = Rng.make 9 in
         for bound = 1 to 100 do
-          let x = Splitmix.next_int g bound in
+          let x = Rng.next_int g bound in
           if x < 0 || x >= bound then
             Alcotest.failf "next_int %d gave %d" bound x
         done);
     Alcotest.test_case "shuffle is a permutation" `Quick (fun () ->
+        let pinned = Array.init 16 Fun.id in
+        Rng.shuffle (Rng.make 1) pinned;
+        Alcotest.(check (array int)) "pinned order"
+          [| 13; 15; 5; 9; 0; 3; 1; 10; 4; 8; 6; 11; 12; 14; 7; 2 |]
+          pinned;
         let a = Array.init 257 Fun.id in
-        Splitmix.shuffle (Splitmix.make 1) a;
+        Rng.shuffle (Rng.make 1) a;
         let b = Array.copy a in
         Array.sort compare b;
         Alcotest.(check (array int)) "sorted back to identity"
@@ -308,7 +322,7 @@ let journal_tests =
         let body = "S 0 0 9999 2\n" in
         let oc = open_out_gen [ Open_append ] 0o644 path in
         output_string oc
-          (body ^ Printf.sprintf "C 0 1 %s\n" (Journal.checksum body));
+          (body ^ Printf.sprintf "C 0 1 %s\n" (Moard_chaos.Fnv.hex body));
         close_out oc;
         (try
            ignore (Engine.resume ~journal:path ctx plan);

@@ -324,6 +324,28 @@ let gen_w_shift =
 let kernel_unit =
   let model = Errmodel.Single_bit in
   [
+    Alcotest.test_case "flip_mask = fold of the pattern's bits" `Quick
+      (fun () ->
+        List.iter
+          (fun m ->
+            List.iter
+              (fun w ->
+                for lane = 0 to Errmodel.lanes m w - 1 do
+                  let fold =
+                    List.fold_left
+                      (fun acc b -> Int64.logor acc (Int64.shift_left 1L b))
+                      0L
+                      (Moard_bits.Pattern.bits_of
+                         (Errmodel.pattern_at m w lane))
+                  in
+                  Alcotest.(check int64)
+                    (Printf.sprintf "%s W%d lane %d" (Errmodel.to_string m)
+                       (B.bits_in w) lane)
+                    fold
+                    (Errmodel.flip_mask m w lane)
+                done)
+              [ B.W1; B.W32; B.W64 ])
+          Errmodel.all);
     Alcotest.test_case "kernel edge cases" `Quick (fun () ->
         (* mul by zero: constant result, everything masked *)
         let v, _ = ibin ~model I.Mul B.W64 0x1234L 0L (fun _ -> 0L) in
